@@ -113,16 +113,14 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _assignment_for(algo: str, dedup: str, anchors, records):
-    batch = [r.boxes for r in records]
+def _assignment_for(algo: str, dedup: str, anchors, records, costs):
     if algo == "serial":
-        return matching.match_serial(anchors, batch)
+        return matching.match_serial(anchors, [r.boxes for r in records])
     if algo == "parallel":
         rois = sparse_labels.encode_batch(list(records))
         ranking = matching.build_rankings(anchors, rois)
         cfg = matching.MatchConfig(dedup_mode=dedup.replace("-", "_"))
         return matching.match_parallel(ranking, rois, cfg)
-    costs = matching.cost_matrices(anchors, batch)
     if algo == "greedy":
         return matching.match_greedy_bipartite(costs)
     return matching.match_exact(costs)
@@ -138,10 +136,11 @@ def _cmd_match(args) -> int:
                     templates=args.templates)
     anchors = build_anchor_grid(spec)
     records = list(sparse_labels.read_records(args.records))
+    batch = [r.boxes for r in records]
 
-    a = _assignment_for(args.algo, args.dedup, anchors, records)
-    costs = matching.cost_matrices(anchors, [r.boxes for r in records])
-    deltas = matching.compute_deltas(a, anchors, [r.boxes for r in records])
+    costs = matching.cost_matrices(anchors, batch)
+    a = _assignment_for(args.algo, args.dedup, anchors, records, costs)
+    deltas = matching.compute_deltas(a, anchors, batch)
 
     with open(args.out, "w", encoding="utf-8") as f:
         for i, rec in enumerate(records):

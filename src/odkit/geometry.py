@@ -186,24 +186,23 @@ def nms(candidates: Sequence[ScoredBox], thresh: float) -> list[int]:
     Candidates are visited in descending score order (ties broken by
     ascending input index). A candidate is suppressed iff its IOU with an
     already-retained candidate of the same class exceeds ``thresh``.
-    Returns retained input indices in retention order.
+    Returns retained input indices in retention order. One IOU matrix over
+    all candidates is built per call.
     """
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"thresh must be in [0, 1], got {thresh}")
     if not candidates:
         return []
 
-    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
-    arr = as_box_array([c.box for c in candidates])
+    boxes = as_box_array([c.box for c in candidates])
+    scores = np.array([c.score for c in candidates], dtype=np.float64)
+    classes = np.array([c.class_id for c in candidates])
+    # iou_matrix is symmetric bit for bit, so row i holds every IOU of i
+    over = (iou_matrix(boxes, boxes) > thresh) & (classes[:, None] == classes[None, :])
+    suppressed = np.zeros(len(candidates), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        suppressed = False
-        for j in kept:
-            if candidates[j].class_id != candidates[i].class_id:
-                continue
-            if iou_matrix(arr[i:i + 1], arr[j:j + 1])[0, 0] > thresh:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
+    for i in np.argsort(-scores, kind="stable"):
+        if not suppressed[i]:
+            kept.append(int(i))
+            suppressed |= over[i]
     return kept

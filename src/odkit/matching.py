@@ -147,7 +147,9 @@ def _run_chunked(n: int, fn) -> None:
     """Run fn(lo, hi) over [0, n) split across worker threads and wait.
 
     fn must write only to disjoint output slices. The join is the barrier
-    between data-parallel stages.
+    between data-parallel stages. An exception raised in a chunk is
+    re-raised here once every thread has joined (the lowest failing
+    chunk's, so the error does not depend on scheduling), never dropped.
     """
     t = min(thread_cap(), n)
     if t <= 1:
@@ -155,12 +157,24 @@ def _run_chunked(n: int, fn) -> None:
             fn(0, n)
         return
     bounds = np.linspace(0, n, t + 1).astype(int)
-    threads = [threading.Thread(target=fn, args=(int(lo), int(hi)))
-               for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    errors: list[Exception | None] = [None] * len(chunks)
+
+    def run(k: int, lo: int, hi: int) -> None:
+        try:
+            fn(lo, hi)
+        except Exception as e:  # handed to the caller after the join
+            errors[k] = e
+
+    threads = [threading.Thread(target=run, args=(k, lo, hi))
+               for k, (lo, hi) in enumerate(chunks)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def _per_image_boxes(batch) -> list[np.ndarray]:
@@ -395,47 +409,89 @@ def _hungarian_total(c: np.ndarray) -> float:
 
 def _lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
     """Among all minimum-total assignments, return the lexicographically
-    smallest anchor tuple (box order). Fixes boxes one at a time, testing
-    anchors in ascending order and keeping a choice iff the optimum is
-    still reachable.
+    smallest anchor tuple (box order).
+
+    The refinement runs on candidate columns only (see
+    ``_candidate_columns``), then maps the chosen columns back.
     """
-    nb, na = c.shape
     best = _hungarian_total(c)
-    avail = list(range(na))
+    tol = 1e-9 * max(1.0, abs(best))
+    cols = _candidate_columns(c, tol)
+    return cols[_refine(c[:, cols], best, tol)]
+
+
+def _candidate_columns(c: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending ids of the columns the lex-smallest optimum can use.
+
+    In any minimum-cost assignment each row's column is among that row's
+    nb cheapest in (cost, index) order: otherwise one of those columns is
+    free, and moving the row onto it lowers the total or gives a
+    lexicographically smaller tuple. The refinement accepts totals within
+    ``tol`` of the optimum, so a row whose nb-th cost has near-ties that
+    are not exact ties also keeps every column within ``tol`` of it.
+    """
+    nb = c.shape[0]
+    order = np.argsort(c, axis=1, kind="stable")
+    keep = np.zeros(c.shape[1], dtype=bool)
+    keep[order[:, :nb].ravel()] = True
+    kth = np.take_along_axis(c, order[:, nb - 1:nb], axis=1)
+    near = np.abs(c - kth) <= tol
+    widen = np.any(near & (c != kth), axis=1)
+    keep |= np.any(near[widen], axis=0)
+    return np.flatnonzero(keep)
+
+
+def _refine(c: np.ndarray, best: float, tol: float) -> np.ndarray:
+    """Fix rows one at a time, keeping the lowest available column from
+    which the optimum ``best`` is still reachable.
+
+    For every available column of a row, the lower bound is the column's
+    cost plus the remaining rows' minima over the other available columns,
+    all in one step. Only columns whose bound reaches ``best`` get a
+    Hungarian solve, in ascending order; the first whose total is
+    ``best`` is kept.
+    """
+    nb = c.shape[0]
+    avail = np.arange(c.shape[1])
     chosen = np.empty(nb, dtype=np.int64)
     prefix = 0.0
     for g in range(nb):
-        rest_rows = c[g + 1:]
-        # cheap lower bound to skip anchors that cannot reach the optimum
-        found = False
-        for pos, a in enumerate(avail):
-            trial = prefix + c[g, a]
-            if trial - best > 1e-9 * max(1.0, abs(best)):
-                continue
-            sub_avail = avail[:pos] + avail[pos + 1:]
-            if len(rest_rows):
-                lb = trial + float(np.min(c[np.ix_(range(g + 1, nb), sub_avail)], axis=1).sum())
-                if lb - best > 1e-9 * max(1.0, abs(best)):
-                    continue
-                total = trial + _hungarian_total(c[np.ix_(range(g + 1, nb), sub_avail)])
-            else:
-                total = trial
+        trials = prefix + c[g, avail]
+        rest = c[g + 1:, avail]
+        lbs = trials + _minima_without_each_column(rest).sum(axis=1)
+        for pos in np.flatnonzero(~(lbs - best > tol)):
+            total = trials[pos] + _hungarian_total(np.delete(rest, pos, axis=1))
             if math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9):
-                chosen[g] = a
-                prefix = trial
-                avail = sub_avail
-                found = True
+                chosen[g] = avail[pos]
+                prefix = trials[pos]
+                avail = np.delete(avail, pos)
                 break
-        if not found:  # numeric safety net; cannot trigger on exact ties
+        else:  # numeric safety net; cannot trigger on exact ties
             raise MatchInconsistencyError("optimal refinement failed to extend prefix")
     return chosen
+
+
+def _minima_without_each_column(rest: np.ndarray) -> np.ndarray:
+    """``out[j, r]`` is the minimum of row r of ``rest`` with column j
+    left out: the row minimum, or its second-smallest value where the
+    (first) minimum sits in column j."""
+    n_rows, n_cols = rest.shape
+    out = np.empty((n_cols, n_rows))
+    rows = np.arange(n_rows)
+    first = np.argmin(rest, axis=1)
+    out[:] = rest[rows, first]
+    masked = rest.copy()
+    masked[rows, first] = np.inf
+    out[first, rows] = masked.min(axis=1)
+    return out
 
 
 def match_exact(cost) -> MatchAssignment:
     """Minimum-total-weight matcher (the oracle the others are judged by).
 
     Ties between equally cheap assignments break toward the
-    lexicographically smallest anchor tuple in box order.
+    lexicographically smallest anchor tuple in box order. Costs may be any
+    finite values, negative ones included.
     """
     out = []
     for idx, c in enumerate(_as_cost_list(cost)):

@@ -139,6 +139,19 @@ def full_permutation_exact(cost: np.ndarray):
     return best_total, best_tuple
 
 
+def nms_reference(boxes, scores, classes, thresh: float) -> list[int]:
+    """Greedy per-class suppression by direct pairwise scans: visit
+    candidates by descending score (lower index first on ties) and keep one
+    unless a kept candidate of its class overlaps it by more than thresh."""
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    kept = []
+    for i in order:
+        if all(classes[j] != classes[i] or _plain_iou(boxes[i], boxes[j]) <= thresh
+               for j in kept):
+            kept.append(i)
+    return kept
+
+
 def random_geometric_instance(rng: np.random.Generator, max_images: int = 4,
                               max_boxes: int = 6, image_w: int = 96, image_h: int = 96):
     """A random anchor set plus per-image ground-truth boxes, sized so

@@ -16,7 +16,7 @@ from odkit import (
     matching_distance,
     nms,
 )
-from oracles import cell_iou, mc_iou
+from oracles import cell_iou, mc_iou, nms_reference
 
 coord = st.floats(-100, 100, allow_nan=False, width=32).map(float)
 size = st.floats(0.25, 64, allow_nan=False, width=32).filter(lambda v: v > 0).map(float)
@@ -193,3 +193,18 @@ class TestNms:
         shuffled = [cands[p] for p in perm]
         kept_shuffled = {id(shuffled[i]) for i in nms(shuffled, 0.4)}
         assert kept == kept_shuffled
+
+    @given(st.data(), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_scan_oracle(self, data, thresh):
+        # few distinct scores, so the ascending-index tie-break is exercised
+        n_classes = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 16), st.integers(0, 16), st.integers(1, 8),
+                      st.integers(1, 8), st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+                      st.integers(0, n_classes - 1)),
+            min_size=1, max_size=40))
+        cands = [ScoredBox(Box(x, y, w, h), s, c) for x, y, w, h, s, c in rows]
+        boxes = [(x, y, w, h) for x, y, w, h, _, _ in rows]
+        expected = nms_reference(boxes, [r[4] for r in rows], [r[5] for r in rows], thresh)
+        assert nms(cands, thresh) == expected

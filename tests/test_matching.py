@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +34,47 @@ from oracles import (
 )
 
 COST_2X2 = np.array([[10.0, 1000.0], [15.0, 500.0]])
+
+
+def _seed_lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
+    """The exact matcher's refinement before candidate-column pruning:
+    every column of every row is tried in ascending order, with a Hungarian
+    solve for each one the lower bound does not rule out. Frozen here as the
+    reference the pruned refinement must reproduce on non-negative costs."""
+    def hungarian_total(m):
+        if m.size == 0 or m.shape[0] == 0:
+            return 0.0
+        r, col = scipy.optimize.linear_sum_assignment(m)
+        return float(m[r, col].sum())
+
+    nb, na = c.shape
+    best = hungarian_total(c)
+    avail = list(range(na))
+    chosen = np.empty(nb, dtype=np.int64)
+    prefix = 0.0
+    for g in range(nb):
+        rest_rows = c[g + 1:]
+        for pos, a in enumerate(avail):
+            trial = prefix + c[g, a]
+            if trial - best > 1e-9 * max(1.0, abs(best)):
+                continue
+            sub_avail = avail[:pos] + avail[pos + 1:]
+            if len(rest_rows):
+                sub = c[np.ix_(range(g + 1, nb), sub_avail)]
+                lb = trial + float(np.min(sub, axis=1).sum())
+                if lb - best > 1e-9 * max(1.0, abs(best)):
+                    continue
+                total = trial + hungarian_total(sub)
+            else:
+                total = trial
+            if math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9):
+                chosen[g] = a
+                prefix = trial
+                avail = sub_avail
+                break
+        else:
+            raise MatchInconsistencyError("optimal refinement failed to extend prefix")
+    return chosen
 
 # three anchors on a row; box 0 sits on anchor 0, box 1 on anchor 1, and
 # box 2 overlaps only anchor 0 (already taken), exposing the dedup modes
@@ -195,6 +239,28 @@ class TestMatchParallel:
         assert a1 == a5
 
 
+class TestWorkerErrors:
+    """An exception in any worker chunk reaches the caller; the fault sits
+    in the last chunk, which runs on a worker thread whenever threads > 1."""
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_build_rankings_raises_bad_box(self, monkeypatch, threads):
+        monkeypatch.setenv("ODF_THREADS", threads)
+        batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([[20.0, 20, -4, 8]])]
+        with pytest.raises(InvalidBoxError):
+            build_rankings(small_grid(), to_sparse(batch))
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_match_parallel_raises_bad_ranking(self, monkeypatch, threads):
+        monkeypatch.setenv("ODF_THREADS", threads)
+        anchors = small_grid()
+        sparse = to_sparse([np.array([[20.0, 20, 8, 8]])] * 6)
+        ranking = build_rankings(anchors, sparse)
+        ranking.dist_ids[-1, 0] = len(anchors)  # names an anchor that does not exist
+        with pytest.raises(IndexError):
+            match_parallel(ranking, sparse)
+
+
 class TestMatchGreedy:
     def test_cost_instance(self):
         a = match_greedy_bipartite(COST_2X2)
@@ -261,6 +327,49 @@ class TestMatchExact:
         a = match_exact(c)
         assert total_weight(a, [c]) == pytest.approx(total, abs=1e-9)
         assert tuple(a.anchor_ids[0]) == tup
+
+    def test_negative_costs(self):
+        # the optimum puts a cost above the optimal total on row 0; a skip
+        # that assumed the remaining rows cost >= 0 rejected every column
+        for c in (np.array([[-2.0, -2, -2], [-2, 1, 0]]),
+                  np.array([[0.0, -1, -1, -2], [-2, -2, -2, 2], [1, 2, 0, 1]])):
+            total, tup = full_permutation_exact(c)
+            a = match_exact(c)
+            assert tuple(a.anchor_ids[0]) == tup
+            assert total_weight(a, [c]) == total
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_tie_heavy_integers_match_full_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        nb = int(rng.integers(1, 5))
+        na = int(rng.integers(nb, 8))
+        c = rng.integers(-2, 3, (nb, na)).astype(np.float64)
+        total, tup = full_permutation_exact(c)
+        a = match_exact(c)
+        assert tuple(a.anchor_ids[0]) == tup
+        assert total_weight(a, [c]) == total
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_match_unpruned_refinement(self, seed):
+        # costs within 6e-10 of four levels: the refinement's 1e-9 tolerance
+        # accepts near-optimal columns, which pruning must not drop
+        rng = np.random.default_rng(seed)
+        nb = int(rng.integers(1, 7))
+        na = int(rng.integers(nb, 40))
+        c = (rng.choice([0.25, 0.5, 0.75, 1.0], (nb, na))
+             + rng.uniform(-6e-10, 6e-10, (nb, na)))
+        assert tuple(match_exact(c).anchor_ids[0]) == tuple(_seed_lex_smallest_optimal(c))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_ties_match_unpruned_refinement(self, seed):
+        rng = np.random.default_rng(seed)
+        nb = int(rng.integers(1, 8))
+        na = int(rng.integers(nb, 40))
+        c = np.where(rng.random((nb, na)) < 0.7, 1.0, rng.uniform(0, 1, (nb, na)))
+        assert tuple(match_exact(c).anchor_ids[0]) == tuple(_seed_lex_smallest_optimal(c))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
