@@ -31,6 +31,7 @@ from .geometry import (
     InvalidSpecError,
     as_box_array,
     euclidean_distance_matrix,
+    iou_matrix,
     matching_distance_matrix,
 )
 from .sparse_labels import SparseLabelBatch
@@ -103,9 +104,9 @@ class DistanceRanking:
     """Per-box anchor rankings feeding ``match_parallel``.
 
     ``dist_ids[n]`` is a full-length ranking for box ``n``: anchors with
-    positive IOU sorted by ascending 1-IOU, then the Euclidean-sorted
+    positive IOU sorted by descending IOU, then the Euclidean-sorted
     anchors filling the remaining positions. ``crossover[n]`` is the prefix
-    length (the first rank whose 1-IOU equals 1). The Euclidean suffix can
+    length (the number of anchors with positive IOU). The Euclidean suffix can
     repeat prefix anchors, so a row may name fewer distinct anchors than
     its length; ``euclid_ids`` keeps each box's complete Euclidean order so
     selection can continue past an exhausted row.
@@ -185,9 +186,11 @@ def match_serial(anchors, batch) -> MatchAssignment:
     """Traversal-order matcher.
 
     Per image, boxes are visited in input order; each takes the unused
-    anchor with the smallest 1-IOU when some unused anchor overlaps it,
+    anchor with the largest IOU when some unused anchor overlaps it,
     otherwise the unused anchor with the smallest 4-vector Euclidean
-    distance. Ties break toward the lower anchor index.
+    distance. Ties break toward the lower anchor index. IOUs are compared
+    directly, not as 1-IOU: for small IOUs, 1-IOU rounds distinct values
+    to one float and would turn them into index ties.
     """
     anchor_arr = as_box_array(anchors)
     n_anchors = len(anchor_arr)
@@ -199,14 +202,14 @@ def match_serial(anchors, batch) -> MatchAssignment:
         if nb == 0:
             out.append(np.empty(0, dtype=np.int64))
             continue
-        dist = matching_distance_matrix(boxes, anchor_arr)
+        iou = iou_matrix(boxes, anchor_arr)
         edist = euclidean_distance_matrix(boxes, anchor_arr)
         used = np.zeros(n_anchors, dtype=bool)
         chosen = np.empty(nb, dtype=np.int64)
         for g in range(nb):
-            d = np.where(used, np.inf, dist[g])
-            if d.min() < 1.0:
-                a = int(np.argmin(d))  # argmin takes the first minimum
+            v = np.where(used, -1.0, iou[g])
+            if v.max() > 0.0:
+                a = int(np.argmax(v))  # argmax takes the first maximum
             else:
                 a = int(np.argmin(np.where(used, np.inf, edist[g])))
             chosen[g] = a
@@ -244,7 +247,7 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     """Build the per-box combined rankings, one box per parallel work item.
 
-    Each row is the positive-IOU anchors sorted by ascending 1-IOU,
+    Each row is the positive-IOU anchors sorted by descending IOU,
     followed by the first entries of the box's Euclidean order, for a fixed
     row length of ``n_anchors``. Rows are mutually independent, so the
     result is identical regardless of evaluation order or thread count.
@@ -261,11 +264,11 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     euclid_ids = np.empty((n, n_anchors), dtype=np.int64)
 
     def work(lo: int, hi: int) -> None:
-        dist = matching_distance_matrix(boxes[lo:hi], anchor_arr)
+        iou = iou_matrix(boxes[lo:hi], anchor_arr)
         edist = euclidean_distance_matrix(boxes[lo:hi], anchor_arr)
         for r in range(hi - lo):
-            iou_order = np.argsort(dist[r], kind="stable")
-            j = int(np.count_nonzero(dist[r] < 1.0))
+            iou_order = np.argsort(-iou[r], kind="stable")
+            j = int(np.count_nonzero(iou[r] > 0.0))
             e_order = np.argsort(edist[r], kind="stable")
             euclid_ids[lo + r] = e_order
             crossover[lo + r] = j
