@@ -180,14 +180,21 @@ class ScoredBox:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
 
 
+# rows of the suppression matrix built at a time: bounds nms memory at
+# O(block × candidates), and up to this many candidates make one block
+_NMS_BLOCK = 256
+
+
 def nms(candidates: Sequence[ScoredBox], thresh: float) -> list[int]:
     """Greedy per-class non-maximum suppression.
 
     Candidates are visited in descending score order (ties broken by
     ascending input index). A candidate is suppressed iff its IOU with an
     already-retained candidate of the same class exceeds ``thresh``.
-    Returns retained input indices in retention order. One IOU matrix over
-    all candidates is built per call.
+    Returns retained input indices in retention order. The same-class
+    ``iou > thresh`` rows are built a fixed block of visiting positions
+    at a time, each against the candidates not yet visited, so memory
+    stays O(candidates) for a fixed block.
     """
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"thresh must be in [0, 1], got {thresh}")
@@ -197,12 +204,17 @@ def nms(candidates: Sequence[ScoredBox], thresh: float) -> list[int]:
     boxes = as_box_array([c.box for c in candidates])
     scores = np.array([c.score for c in candidates], dtype=np.float64)
     classes = np.array([c.class_id for c in candidates])
-    # iou_matrix is symmetric bit for bit, so row i holds every IOU of i
-    over = (iou_matrix(boxes, boxes) > thresh) & (classes[:, None] == classes[None, :])
-    suppressed = np.zeros(len(candidates), dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    boxes, classes = boxes[order], classes[order]
+    n = len(order)
+    suppressed = np.zeros(n, dtype=bool)
     kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable"):
-        if not suppressed[i]:
-            kept.append(int(i))
-            suppressed |= over[i]
+    for lo in range(0, n, _NMS_BLOCK):
+        rows = lo + np.flatnonzero(~suppressed[lo:lo + _NMS_BLOCK])
+        over = (iou_matrix(boxes[rows], boxes[lo:]) > thresh) \
+            & (classes[rows, None] == classes[None, lo:])
+        for p, row in zip(rows.tolist(), over):
+            if not suppressed[p]:
+                kept.append(int(order[p]))
+                suppressed[lo:] |= row
     return kept

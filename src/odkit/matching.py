@@ -335,20 +335,18 @@ def match_parallel(ranking: DistanceRanking, rois: SparseLabelBatch,
         raise InvalidSpecError(
             f"ranking covers {ranking.n_boxes} boxes but batch has {rois.n_boxes}")
     n_anchors = ranking.n_anchors
-    im_of_box = rois.rois_idx[:, 0]
+    off = rois.offsets()
     out: list[np.ndarray | None] = [None] * rois.batch_size
 
-    counts = np.bincount(im_of_box, minlength=rois.batch_size) if len(im_of_box) else \
-        np.zeros(rois.batch_size, dtype=np.int64)
+    counts = np.diff(off)
     over = np.nonzero(counts > n_anchors)[0]
     if len(over):
         raise CapacityError(int(over[0]), int(counts[over[0]]), n_anchors)
 
     def work(lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            sel = np.nonzero(im_of_box == i)[0]
-            rows = ranking.dist_ids[sel]
-            erows = ranking.euclid_ids[sel]
+            rows = ranking.dist_ids[off[i]:off[i + 1]]
+            erows = ranking.euclid_ids[off[i]:off[i + 1]]
             if cfg.dedup_mode == "strict":
                 out[i] = _select_strict(rows, erows, n_anchors)
             else:

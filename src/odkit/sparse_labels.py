@@ -16,7 +16,8 @@ ODR1 file layout (all integers little-endian):
 
 Box coordinates are stored as float32; a record round-trips exactly when
 its coordinates are float32-representable. Reading is streamed: memory use
-is bounded by a single record.
+is bounded by a single record. Each record's boxes are parsed and packed
+as one numpy array of the 18-byte box layout.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidSpecError
+from .geometry import InvalidBoxError, InvalidSpecError
 
 MAGIC = b"ODR1"
 
 _HEAD = struct.Struct("<QHHH")   # image_id, image_w, image_h, num_boxes
 _BOX = struct.Struct("<ffffH")   # x, y, w, h, class
+_BOX_DTYPE = np.dtype([("b", "<f4", (4,)), ("c", "<u2")])  # the same 18 bytes
 _LEN = struct.Struct("<I")
 
 _U16_MAX = 0xFFFF
@@ -80,15 +82,16 @@ class LabelRecord:
             raise ValueError("box count exceeds u16")
         if self.classes.size and (self.classes.min() < 0 or self.classes.max() > _U16_MAX):
             raise ValueError("class ids outside u16 range")
-        if not np.all(np.isfinite(self.boxes)):
+        if not np.isfinite(self.boxes).all():
             raise ValueError("non-finite box coordinates")
         if self.boxes.size:
-            w2, h2 = self.boxes[:, 2] / 2, self.boxes[:, 3] / 2
-            if np.any(self.boxes[:, 2] <= 0) or np.any(self.boxes[:, 3] <= 0):
+            centers, sizes = self.boxes[:, :2], self.boxes[:, 2:]
+            if (sizes <= 0).any():
                 raise ValueError("non-positive box dimensions")
             s = self._BOUNDS_SLACK
-            if (np.any(self.boxes[:, 0] - w2 < -s) or np.any(self.boxes[:, 0] + w2 > self.image_w + s)
-                    or np.any(self.boxes[:, 1] - h2 < -s) or np.any(self.boxes[:, 1] + h2 > self.image_h + s)):
+            half = sizes / 2
+            if ((centers - half < -s).any()
+                    or (centers + half > (self.image_w + s, self.image_h + s)).any()):
                 raise ValueError("box extends outside image bounds")
 
     def __eq__(self, other) -> bool:
@@ -124,32 +127,47 @@ class SparseLabelBatch:
         return len(self.rois_values)
 
     def validate(self):
+        """Check lengths, bounds, key order and box values.
+
+        Keys must be lexicographically non-decreasing (equal keys are
+        allowed). Box values must be finite with positive width and
+        height, else :class:`~odkit.geometry.InvalidBoxError`.
+        """
         if not (len(self.rois_idx) == len(self.rois_values) == len(self.classes)):
             raise CorruptBatchError("pointer and value lists differ in length")
         if self.batch_size < 1:
             raise CorruptBatchError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rois_idx.size:
-            if self.rois_idx[:, 0].min() < 0 or self.rois_idx[:, 0].max() >= self.batch_size:
+            images = self.rois_idx[:, 0]
+            if images.min() < 0 or images.max() >= self.batch_size:
                 raise CorruptBatchError("batch index outside [0, batch_size)")
-            keys = list(map(tuple, self.rois_idx))
-            if keys != sorted(keys):
+            # adjacent keys compared directly: a difference could overflow
+            a, b = self.rois_idx[:-1], self.rois_idx[1:]
+            if ((a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))).any():
                 raise CorruptBatchError("rois_idx is not lexicographically sorted")
+        if not np.isfinite(self.rois_values).all():
+            raise InvalidBoxError("non-finite box coordinates")
+        if (self.rois_values[:, 2:] <= 0).any():
+            raise InvalidBoxError("non-positive box dimensions")
+
+    def offsets(self) -> np.ndarray:
+        """CSR row offsets of a validated batch: image ``i``'s boxes are
+        rows ``offsets[i]:offsets[i + 1]``. Shape ``(batch_size + 1,)``."""
+        return np.searchsorted(self.rois_idx[:, 0], np.arange(self.batch_size + 1))
 
 
 def encode_batch(records: list[LabelRecord]) -> SparseLabelBatch:
     """Concatenate per-image boxes into sparse COO form. Lossless."""
     if not records:
         raise ValueError("batch must contain at least one record")
-    idx, values, classes = [], [], []
-    for pos, rec in enumerate(records):
-        for ordinal in range(len(rec.boxes)):
-            idx.append((pos, ordinal))
-        values.append(rec.boxes)
-        classes.append(rec.classes)
+    counts = np.array([len(rec.boxes) for rec in records], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    images = np.repeat(np.arange(len(records)), counts)
+    ordinals = np.arange(len(images)) - np.repeat(starts, counts)
     return SparseLabelBatch(
-        rois_idx=np.array(idx, dtype=np.int64).reshape(-1, 2),
-        rois_values=np.concatenate(values) if values else np.empty((0, 4)),
-        classes=np.concatenate(classes) if classes else np.empty(0, dtype=np.int64),
+        rois_idx=np.stack([images, ordinals], axis=1),
+        rois_values=np.concatenate([rec.boxes for rec in records]),
+        classes=np.concatenate([rec.classes for rec in records]),
         batch_size=len(records),
     )
 
@@ -157,11 +175,26 @@ def encode_batch(records: list[LabelRecord]) -> SparseLabelBatch:
 def decode_batch(batch: SparseLabelBatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inverse of :func:`encode_batch`: per-image (boxes, classes) pairs."""
     batch.validate()
-    out = []
-    for pos in range(batch.batch_size):
-        mask = batch.rois_idx[:, 0] == pos
-        out.append((batch.rois_values[mask].copy(), batch.classes[mask].copy()))
-    return out
+    off = batch.offsets().tolist()
+    return [(batch.rois_values[lo:hi].copy(), batch.classes[lo:hi].copy())
+            for lo, hi in zip(off[:-1], off[1:])]
+
+
+def _pack_boxes(boxes, classes) -> bytes:
+    """A record's boxes as ODR1 bytes, 18 per box."""
+    if len(classes) != len(boxes):  # numpy would broadcast a single class
+        raise ValueError("boxes and classes must have equal length")
+    arr = np.empty(len(boxes), dtype=_BOX_DTYPE)
+    try:
+        with np.errstate(over="raise"):  # a finite value beyond f32 range
+            arr["b"] = boxes
+        arr["c"] = np.asarray(classes).tolist()  # Python ints outside u16 raise; int64s would wrap
+    except (FloatingPointError, OverflowError):
+        # a value ODR1 cannot hold, possible only in a field reassigned
+        # after construction: struct raises on it, as it always has
+        return b"".join(_BOX.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
+                        for b, c in zip(boxes, classes))
+    return arr.tobytes()
 
 
 def write_records(path, records) -> int:
@@ -170,12 +203,9 @@ def write_records(path, records) -> int:
     with open(path, "wb") as f:
         f.write(MAGIC)
         for rec in records:
-            nb = len(rec.boxes)
-            payload = bytearray(_HEAD.pack(rec.image_id, rec.image_w, rec.image_h, nb))
-            for b, c in zip(rec.boxes, rec.classes):
-                payload += _BOX.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
-            f.write(_LEN.pack(len(payload)))
-            f.write(payload)
+            payload = _HEAD.pack(rec.image_id, rec.image_w, rec.image_h, len(rec.boxes)) \
+                + _pack_boxes(rec.boxes, rec.classes)
+            f.write(_LEN.pack(len(payload)) + payload)
             n += 1
     return n
 
@@ -209,14 +239,10 @@ def read_records(path):
             if plen != _HEAD.size + nb * _BOX.size:
                 raise RecordCorruptionError(
                     f"payload length {plen} does not match {nb} boxes", offset)
-            boxes = np.empty((nb, 4), dtype=np.float64)
-            classes = np.empty(nb, dtype=np.int64)
-            for i in range(nb):
-                x, y, w, h, c = _BOX.unpack_from(payload, _HEAD.size + i * _BOX.size)
-                boxes[i] = (x, y, w, h)
-                classes[i] = c
+            arr = np.frombuffer(payload, dtype=_BOX_DTYPE, count=nb, offset=_HEAD.size)
             offset += plen
-            yield LabelRecord(image_id, image_w, image_h, boxes, classes)
+            yield LabelRecord(image_id, image_w, image_h,
+                              arr["b"].astype(np.float64), arr["c"].astype(np.int64))
 
 
 def gen_synthetic(seed: int, n_images: int, max_boxes: int, image_w: int, image_h: int,

@@ -10,6 +10,7 @@ these run at test scale only.
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -190,3 +191,20 @@ def pure_random_search(objective, lows, highs, budget: int, seed: int) -> float:
         x = rng.uniform(lows, highs)
         best = max(best, float(objective(x)))
     return best
+
+
+def struct_write_records(path, records) -> int:
+    """ODR1 writer packing one box at a time with ``struct``: the format's
+    byte layout spelled out field by field."""
+    head, box, length = struct.Struct("<QHHH"), struct.Struct("<ffffH"), struct.Struct("<I")
+    n = 0
+    with open(path, "wb") as f:
+        f.write(b"ODR1")
+        for rec in records:
+            payload = bytearray(head.pack(rec.image_id, rec.image_w, rec.image_h, len(rec.boxes)))
+            for b, c in zip(rec.boxes, rec.classes):
+                payload += box.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
+            f.write(length.pack(len(payload)))
+            f.write(payload)
+            n += 1
+    return n

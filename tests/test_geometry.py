@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odkit import geometry
 from odkit import (
     Box,
     GridSpec,
@@ -208,3 +211,36 @@ class TestNms:
         boxes = [(x, y, w, h) for x, y, w, h, _, _ in rows]
         expected = nms_reference(boxes, [r[4] for r in rows], [r[5] for r in rows], thresh)
         assert nms(cands, thresh) == expected
+
+    @given(st.data(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 2, 3, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_small_blocks_match_oracle(self, data, thresh, block):
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 16), st.integers(0, 16), st.integers(1, 8),
+                      st.integers(1, 8), st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+                      st.integers(0, 1)),
+            min_size=1, max_size=30))
+        cands = [ScoredBox(Box(x, y, w, h), s, c) for x, y, w, h, s, c in rows]
+        boxes = [(x, y, w, h) for x, y, w, h, _, _ in rows]
+        expected = nms_reference(boxes, [r[4] for r in rows], [r[5] for r in rows], thresh)
+        saved = geometry._NMS_BLOCK
+        geometry._NMS_BLOCK = block
+        try:
+            assert nms(cands, thresh) == expected
+        finally:
+            geometry._NMS_BLOCK = saved
+
+    def test_memory_bounded_at_2000_candidates(self):
+        rng = np.random.default_rng(0)
+        xy = rng.uniform(0, 400, (2000, 2))
+        wh = rng.uniform(4, 60, (2000, 2))
+        cands = [ScoredBox(Box(*b), float(s), int(c)) for b, s, c in
+                 zip(np.hstack([xy, wh]).tolist(), rng.uniform(0, 1, 2000), rng.integers(0, 3, 2000))]
+        tracemalloc.start()
+        try:
+            kept = nms(cands, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(kept) < 2000
+        assert peak < 40 * 2**20

@@ -25,6 +25,7 @@ from odkit import (
     match_serial_cost,
     total_weight,
 )
+from odkit import matching
 from odkit.geometry import InvalidBoxError, InvalidSpecError
 from oracles import (
     brute_force_exact,
@@ -259,6 +260,54 @@ class TestWorkerErrors:
         ranking.dist_ids[-1, 0] = len(anchors)  # names an anchor that does not exist
         with pytest.raises(IndexError):
             match_parallel(ranking, sparse)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("failing", ["last", "all"])
+    def test_run_chunked_reraises_worker_error(self, monkeypatch, threads, failing):
+        monkeypatch.setenv("ODF_THREADS", threads)
+        covered = np.zeros(7, dtype=int)
+
+        def fn(lo, hi):
+            covered[lo:hi] += 1
+            if failing == "all" or hi == 7:
+                raise RuntimeError(f"chunk at {lo}")
+
+        with pytest.raises(RuntimeError) as e:
+            matching._run_chunked(7, fn)
+        starts = {"1": [0], "2": [0, 3], "3": [0, 2, 4]}[threads]
+        # the lowest failing chunk's error, whatever the scheduling
+        assert str(e.value) == f"chunk at {starts[0] if failing == 'all' else starts[-1]}"
+        assert covered.tolist() == [1] * 7  # every chunk ran
+
+
+BAD_ROWS = [(20.0, 20, -4, 8), (20.0, 20, 8, 0), (np.nan, 20, 8, 8), (20.0, np.inf, 8, 8)]
+
+
+class TestBadBoxesAtTheBoundary:
+    """SparseLabelBatch.validate rejects bad box values, so the matchers
+    raise before any worker chunk starts."""
+
+    @staticmethod
+    def _no_workers(monkeypatch):
+        def fail(n, fn):
+            raise AssertionError("worker chunks started")
+        monkeypatch.setattr(matching, "_run_chunked", fail)
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_build_rankings(self, monkeypatch, bad):
+        self._no_workers(monkeypatch)
+        batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([bad])]
+        with pytest.raises(InvalidBoxError):
+            build_rankings(small_grid(), to_sparse(batch))
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_match_parallel(self, monkeypatch, bad):
+        anchors = small_grid()
+        ranking = build_rankings(anchors, to_sparse([np.array([[20.0, 20, 8, 8]])] * 6))
+        self._no_workers(monkeypatch)
+        batch = to_sparse([np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([bad])])
+        with pytest.raises(InvalidBoxError):
+            match_parallel(ranking, batch)
 
 
 class TestMatchGreedy:

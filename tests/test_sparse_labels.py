@@ -18,7 +18,8 @@ from odkit import (
     read_records,
     write_records,
 )
-from odkit.geometry import InvalidSpecError
+from odkit.geometry import InvalidBoxError, InvalidSpecError
+from oracles import struct_write_records
 
 
 def _rec(image_id, boxes, classes, w=256, h=256):
@@ -39,6 +40,44 @@ def records(draw):
         boxes.append((x1 + w / 2, y1 + h / 2, w, h))
         classes.append(draw(st.integers(0, 9)))
     return _rec(draw(st.integers(0, 2**40)), boxes, classes)
+
+
+def _tuple_sort_validate(batch):
+    """validate's length, bounds and key-order checks, with the keys as a
+    sorted list of Python-int tuples."""
+    if not (len(batch.rois_idx) == len(batch.rois_values) == len(batch.classes)):
+        raise CorruptBatchError("pointer and value lists differ in length")
+    if batch.batch_size < 1:
+        raise CorruptBatchError(f"batch_size must be >= 1, got {batch.batch_size}")
+    keys = [(int(i), int(o)) for i, o in batch.rois_idx]
+    if keys and not all(0 <= i < batch.batch_size for i, _ in keys):
+        raise CorruptBatchError("batch index outside [0, batch_size)")
+    if keys != sorted(keys):
+        raise CorruptBatchError("rois_idx is not lexicographically sorted")
+
+
+def _per_box_encode(recs):
+    """encode_batch spelled out one box at a time."""
+    idx, values, classes = [], [], []
+    for pos, rec in enumerate(recs):
+        for ordinal, (box, cls) in enumerate(zip(rec.boxes, rec.classes)):
+            idx.append((pos, ordinal))
+            values.append(box)
+            classes.append(cls)
+    return (np.array(idx, np.int64).reshape(-1, 2), np.array(values, float).reshape(-1, 4),
+            np.array(classes, np.int64))
+
+
+def _error(fn):
+    try:
+        fn()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+BAD_BOXES = [(10, 10, -4, 4), (10, 10, 4, 0), (np.nan, 10, 4, 4), (10, np.inf, 4, 4),
+             (10, 10, -np.inf, 4)]
 
 
 class TestLabelRecord:
@@ -96,6 +135,56 @@ class TestBatchCoding:
             classes=np.array([0]), batch_size=2)
         with pytest.raises(CorruptBatchError):
             batch.validate()
+
+    @given(st.lists(records(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_encode_matches_per_box_reference(self, recs):
+        batch = encode_batch(recs)
+        idx, values, classes = _per_box_encode(recs)
+        assert batch.rois_idx.dtype == np.int64 and batch.classes.dtype == np.int64
+        assert np.array_equal(batch.rois_idx, idx)
+        assert np.array_equal(batch.rois_values, values)
+        assert np.array_equal(batch.classes, classes)
+        assert batch.batch_size == len(recs)
+
+    def test_offsets_are_csr_rows(self):
+        recs = [_rec(0, [], []), _rec(1, [(10, 10, 4, 4)] * 3, [0, 1, 2]),
+                _rec(2, [], []), _rec(3, [(20, 20, 4, 4)], [1])]
+        assert encode_batch(recs).offsets().tolist() == [0, 0, 3, 3, 4]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_validate_matches_tuple_sort(self, data):
+        ordinal = st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1))
+        keys = data.draw(st.lists(st.tuples(st.integers(-1, 4), ordinal), max_size=8))
+        if data.draw(st.booleans()):
+            keys = sorted(keys)
+        if keys and data.draw(st.booleans()):  # adjacent duplicate keys
+            k = data.draw(st.integers(0, len(keys) - 1))
+            keys.insert(k, keys[k])
+        n = len(keys)
+        batch = SparseLabelBatch(
+            rois_idx=np.array(keys, np.int64).reshape(-1, 2),
+            rois_values=np.tile([10.0, 10, 4, 4], (n, 1)),
+            classes=np.zeros(n - data.draw(st.sampled_from([0, 0, 0, 1])) if n else 0, np.int64),
+            batch_size=data.draw(st.integers(0, 5)))
+        assert _error(batch.validate) == _error(lambda: _tuple_sort_validate(batch))
+
+    def test_equal_keys_allowed(self):
+        batch = SparseLabelBatch(rois_idx=np.array([[0, 1], [0, 1], [1, 0]]),
+                                 rois_values=np.tile([10.0, 10, 4, 4], (3, 1)),
+                                 classes=np.zeros(3, np.int64), batch_size=2)
+        batch.validate()
+
+    @pytest.mark.parametrize("bad", BAD_BOXES)
+    def test_bad_box_values_rejected(self, bad):
+        batch = SparseLabelBatch(rois_idx=np.array([[0, 0], [1, 0]]),
+                                 rois_values=np.array([(10, 10, 4, 4), bad], float),
+                                 classes=np.zeros(2, np.int64), batch_size=2)
+        with pytest.raises(InvalidBoxError):
+            batch.validate()
+        with pytest.raises(InvalidBoxError):
+            decode_batch(batch)
 
     @given(st.lists(records(), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
@@ -167,6 +256,60 @@ class TestRecordFile:
         path = tmp_path_factory.mktemp("odr") / "p.odr"
         write_records(path, recs)
         assert list(read_records(path)) == recs
+
+
+class TestPackedRecords:
+    """The numpy writer and reader against the struct-based writer."""
+
+    @given(recs=st.lists(records(), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_struct_writer(self, recs, tmp_path_factory):
+        d = tmp_path_factory.mktemp("odr")
+        assert write_records(d / "a.odr", recs) == struct_write_records(d / "b.odr", recs)
+        assert (d / "a.odr").read_bytes() == (d / "b.odr").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_f32_rounding_matches_struct_writer(self, tmp_path, seed):
+        # coordinates that float32 cannot hold exactly, extreme header fields
+        rng = np.random.default_rng(seed)
+        recs = []
+        for i in range(20):
+            nb = int(rng.integers(0, 7))
+            wh = rng.uniform(1e-3, 100, (nb, 2))
+            xy = wh / 2 + rng.uniform(0, 65535 - 100, (nb, 2))
+            recs.append(LabelRecord(2**64 - 1 - i, 65535, 65535, np.hstack([xy, wh]),
+                                    rng.integers(0, 2**16, nb)))
+        write_records(tmp_path / "a.odr", recs)
+        struct_write_records(tmp_path / "b.odr", recs)
+        assert (tmp_path / "a.odr").read_bytes() == (tmp_path / "b.odr").read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("classes", [70000]), ("classes", np.array([-1])),
+        ("boxes", np.array([[10.0, 10, 1e39, 4]]))])
+    def test_unpackable_value_fails_to_write(self, tmp_path, field, value):
+        # fields reassigned after construction skip LabelRecord's checks
+        rec = _rec(0, [(10, 10, 4, 4)], [1])
+        setattr(rec, field, value)
+        expected = _error(lambda: struct_write_records(tmp_path / "b.odr", [rec]))
+        assert expected is not None
+        assert _error(lambda: write_records(tmp_path / "a.odr", [rec])) == expected
+
+    def test_mismatched_lengths_fail_to_write(self, tmp_path):
+        # the struct writer wrote a payload shorter than its header's count
+        rec = _rec(0, [(10, 10, 4, 4)] * 3, [0, 1, 2])
+        rec.classes = np.array([1])
+        with pytest.raises(ValueError, match="equal length"):
+            write_records(tmp_path / "m.odr", [rec])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_f32_rejected_on_read(self, tmp_path, value):
+        payload = (struct.pack("<QHHH", 1, 64, 64, 2)
+                   + struct.pack("<ffffH", 10, 10, 4, 4, 0)
+                   + struct.pack("<ffffH", 10, value, 4, 4, 0))
+        path = tmp_path / "n.odr"
+        path.write_bytes(b"ODR1" + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(ValueError, match="non-finite box coordinates"):
+            list(read_records(path))
 
 
 class TestGenSynthetic:
