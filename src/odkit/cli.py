@@ -230,7 +230,9 @@ def _cmd_hyperopt(args) -> int:
                 value = float(fn(x))
             trial = hp.tell(state, x, value)
             entry = {"seq": trial.seq, "point": [float(v) for v in trial.point],
-                     "value": trial.value, "best_so_far": hp.best(state).value}
+                     "value": trial.value, "best_so_far": hp.best(state).value,
+                     "phase": state.phase, "lipschitz_k": state.lipschitz_k,
+                     "tr_radius": state.tr_radius, "tr_fallbacks": state.tr_fallbacks}
             (log or sys.stdout).write(_jsonl_line(entry))
     finally:
         if log:

@@ -21,6 +21,10 @@ bound and in the improve-vs-shrink test.
 Usage follows a strict ask/tell protocol: every ``ask`` must be answered by
 ``tell`` before the next ``ask``. Evaluation of the objective happens
 outside, between the two calls.
+
+``state.trials`` is the public, append-only record. Points and values are
+mirrored in cached arrays together with the steepest slope seen so far, so
+a ``tell`` costs O(n*d) rather than re-deriving every pairwise slope.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,7 @@ from scipy.spatial.distance import pdist
 # return the sample with the largest upper bound instead
 _MAX_DRAWS = 1000
 _TR_MULTISTARTS = 4
+_CHECKPOINT_FORMAT = "odkit.hyperopt.state/1"
 
 
 class ProtocolError(RuntimeError):
@@ -137,6 +141,34 @@ class TrustRegionModel:
 
 
 @dataclass
+class _TrialArrays:
+    """Rows ``[:n]`` mirror ``trials[:n]``; ``last`` is ``trials[n-1]``, so a
+    replaced list is noticed. ``max_slope`` is the steepest slope between
+    any two of those points at distance > 0."""
+
+    points: np.ndarray
+    values: np.ndarray
+    n: int = 0
+    last: Trial | None = None
+    max_slope: float = 0.0
+
+    def append(self, trial: Trial) -> None:
+        n = self.n
+        if n == len(self.values):  # grow by doubling
+            points = np.empty((max(2 * n, 16), self.points.shape[1]))
+            points[:n] = self.points[:n]
+            values = np.empty(len(points))
+            values[:n] = self.values[:n]
+            self.points, self.values = points, values
+        self.points[n] = trial.point
+        self.values[n] = trial.value
+        if n:
+            self.max_slope = max(self.max_slope, _max_slope_to(
+                self.points[:n], self.values[:n], self.points[n], self.values[n]))
+        self.n, self.last = n + 1, trial
+
+
+@dataclass
 class OptimizerState:
     space: SearchSpace
     exploration_p: float
@@ -151,6 +183,8 @@ class OptimizerState:
     tr_fallbacks: int = 0          # rank-deficient fits redirected to global
     pending: np.ndarray | None = None
     rng: np.random.Generator | None = None
+    _arrays: _TrialArrays | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if self.rng is None:
@@ -197,7 +231,11 @@ def lipschitz_estimate(trials, alpha: float) -> float:
     mask = dd > 0
     if not mask.any():
         return 0.0
-    s = float((vd[mask] / dd[mask]).max())
+    return _snap_slope(float((vd[mask] / dd[mask]).max()), alpha)
+
+
+def _snap_slope(s: float, alpha: float) -> float:
+    """Smallest (1+alpha)^i >= s, or 0 for a zero slope."""
     if s == 0.0:
         return 0.0
     i = math.ceil(math.log(s) / math.log(1.0 + alpha) - 1e-12)
@@ -208,6 +246,39 @@ def lipschitz_estimate(trials, alpha: float) -> float:
     return k
 
 
+def _max_slope_to(pts: np.ndarray, vals: np.ndarray, x: np.ndarray, v: float) -> float:
+    """Steepest |v - vals_j| / ||x - pts_j|| over rows at distance > 0.
+
+    The squares are summed column by column, in pdist's order, so every
+    slope is bitwise the one ``lipschitz_estimate`` computes.
+    """
+    sq = pts - x
+    sq *= sq
+    dist = sq[:, 0].copy()
+    for j in range(1, sq.shape[1]):
+        dist += sq[:, j]
+    np.sqrt(dist, out=dist)
+    mask = dist > 0
+    if not mask.any():
+        return 0.0
+    return float((np.abs(vals[mask] - v) / dist[mask]).max())
+
+
+def _trial_arrays(state: OptimizerState) -> tuple[np.ndarray, np.ndarray]:
+    """(points, values) of ``state.trials`` as float64 arrays.
+
+    Only trials appended since the last call are copied in. A list that got
+    shorter or whose cached last element was replaced is read afresh.
+    """
+    trials, cache = state.trials, state._arrays
+    if cache is None or cache.n > len(trials) or (
+            cache.n and trials[cache.n - 1] is not cache.last):
+        cache = state._arrays = _TrialArrays(np.empty((0, state.space.d)), np.empty(0))
+    for t in trials[cache.n:]:
+        cache.append(t)
+    return cache.points[:cache.n], cache.values[:cache.n]
+
+
 def _quad_features(x: np.ndarray) -> np.ndarray:
     d = len(x)
     feats = [1.0]
@@ -216,6 +287,12 @@ def _quad_features(x: np.ndarray) -> np.ndarray:
         for j in range(i, d):
             feats.append(x[i] * x[j])
     return np.array(feats)
+
+
+def _quad_design(pts: np.ndarray) -> np.ndarray:
+    """Rows of ``_quad_features`` for every point, built in one step."""
+    i, j = np.triu_indices(pts.shape[1])
+    return np.hstack([np.ones((len(pts), 1)), pts, pts[:, i] * pts[:, j]])
 
 
 def fit_quadratic_tr(state: OptimizerState) -> TrustRegionModel:
@@ -230,18 +307,18 @@ def fit_quadratic_tr(state: OptimizerState) -> TrustRegionModel:
         raise ValueError(
             f"quadratic fit needs >= {n_terms} trials, have {len(state.trials)}")
     center = best(state).point
-    pts = np.array([t.point for t in state.trials])
-    vals = np.array([t.value for t in state.trials])
+    pts, vals = _trial_arrays(state)
     order = np.argsort(np.linalg.norm(pts - center, axis=1), kind="stable")
     keep = order[: min(2 * n_terms, len(order))]
-    design = np.vstack([_quad_features(p) for p in pts[keep]])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, vals[keep], rcond=None)
+    fit_points, fit_values = pts[keep], vals[keep]
+    design = _quad_design(fit_points)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, fit_values, rcond=None)
     if rank < n_terms:
         raise RankDeficiencyError(
             f"fit rank {rank} < {n_terms} required (degenerate fit geometry)")
     return TrustRegionModel(center=center.copy(), radius=state.tr_radius,
-                            quad_coeffs=coeffs, fit_points=pts[keep].copy(),
-                            fit_values=vals[keep].copy())
+                            quad_coeffs=coeffs, fit_points=fit_points,
+                            fit_values=fit_values)
 
 
 def _uniform_draw(state: OptimizerState) -> np.ndarray:
@@ -249,8 +326,7 @@ def _uniform_draw(state: OptimizerState) -> np.ndarray:
 
 
 def _upper_bound(state: OptimizerState, x: np.ndarray) -> float:
-    pts = np.array([t.point for t in state.trials])
-    vals = np.array([t.value for t in state.trials])
+    pts, vals = _trial_arrays(state)
     return float((vals + state.lipschitz_k * np.linalg.norm(pts - x, axis=1)).min()
                  + state.noise_eps)
 
@@ -260,7 +336,7 @@ def _ask_global(state: OptimizerState) -> np.ndarray:
         return _uniform_draw(state)
     if state.rng.random() < state.exploration_p:
         return _uniform_draw(state)
-    best_val = max(t.value for t in state.trials)
+    best_val = float(_trial_arrays(state)[1].max())
     top, top_ub = None, -np.inf
     for _ in range(_MAX_DRAWS):
         x = _uniform_draw(state)
@@ -323,11 +399,13 @@ def tell(state: OptimizerState, point, value: float) -> Trial:
         raise ProtocolError(f"tell point {p} does not match the pending ask {state.pending}")
     if not math.isfinite(value):
         raise ValueError(f"objective value must be finite, got {value}")
-    prev_best = max((t.value for t in state.trials), default=-math.inf)
+    vals = _trial_arrays(state)[1]
+    prev_best = float(vals.max()) if len(vals) else -math.inf
     trial = Trial(point=p.copy(), value=float(value), seq=len(state.trials))
     state.trials.append(trial)
     state.pending = None
-    state.lipschitz_k = lipschitz_estimate(state.trials, state.alpha)
+    _trial_arrays(state)
+    state.lipschitz_k = _snap_slope(state._arrays.max_slope, state.alpha)
     diag = state.space.diagonal
     if value > prev_best + state.noise_eps:
         state.tr_radius = min(state.tr_radius * 2.0, diag)
@@ -342,8 +420,7 @@ def best(state: OptimizerState) -> Trial:
     """Highest-value trial; the earlier one on ties."""
     if not state.trials:
         raise ValueError("no trials recorded yet")
-    vals = np.array([t.value for t in state.trials])
-    return state.trials[int(np.argmax(vals))]  # argmax takes the first max
+    return state.trials[int(np.argmax(_trial_arrays(state)[1]))]  # the first max
 
 
 def run_optimization(state: OptimizerState, objective, budget: int, on_trial=None) -> OptimizerState:
@@ -360,15 +437,141 @@ def run_optimization(state: OptimizerState, objective, budget: int, on_trial=Non
 # ---------------------------------------------------------------- state I/O
 
 def save_state(state: OptimizerState, path) -> None:
-    with open(path, "wb") as f:
-        pickle.dump(state, f)
+    """Write ``state`` to ``path`` as a JSON checkpoint for ``load_state``.
+
+    Trials go in as arrays next to the scalars, the trust-region model, the
+    pending ask and the PCG64 generator state. Raises ``ValueError`` for
+    another bit generator, a value JSON cannot hold (NaN, infinity), or a
+    ``lipschitz_k`` that no longer matches the trials.
+    """
+    pts, vals = _trial_arrays(state)
+    max_slope = state._arrays.max_slope
+    if state.lipschitz_k != _snap_slope(max_slope, state.alpha):
+        raise ValueError(f"lipschitz_k {state.lipschitz_k} does not match the trials "
+                         f"(steepest slope {max_slope}); append trials only through tell")
+    rng_state = state.rng.bit_generator.state
+    if rng_state["bit_generator"] != "PCG64":
+        raise ValueError(f"only a PCG64 generator can be checkpointed, "
+                         f"not {rng_state['bit_generator']}")
+    tr = state.tr
+    obj = {
+        "format": _CHECKPOINT_FORMAT,
+        "space": _space_to_obj(state.space),
+        "exploration_p": state.exploration_p,
+        "alpha": state.alpha,
+        "noise_eps": state.noise_eps,
+        "rng_seed": state.rng_seed,
+        "lipschitz_k": state.lipschitz_k,
+        "max_slope": max_slope,
+        "tr_radius": state.tr_radius,
+        "phase": state.phase,
+        "tr_fallbacks": state.tr_fallbacks,
+        "points": pts.tolist(),
+        "values": vals.tolist(),
+        "seqs": [t.seq for t in state.trials],
+        "tr": None if tr is None else {
+            "center": tr.center.tolist(), "radius": tr.radius,
+            "coeffs": tr.quad_coeffs.tolist(), "fit_points": tr.fit_points.tolist(),
+            "fit_values": tr.fit_values.tolist()},
+        "pending": None if state.pending is None else state.pending.tolist(),
+        "rng": rng_state,
+    }
+    text = json.dumps(obj, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def load_state(path) -> OptimizerState:
-    # pickle runs code on load; only open checkpoint files you wrote
+    """Read a checkpoint written by ``save_state``.
+
+    The file is parsed as JSON only; nothing in it is executed. Anything
+    that is not a well-formed checkpoint (another format, such as the old
+    pickle files, or mismatched shapes, lengths or dimensions) raises
+    ``ValueError``. Loading costs O(n*d): the cached arrays and the stored
+    steepest slope are filled in directly.
+    """
     with open(path, "rb") as f:
-        state = f.read()
-    return pickle.loads(state)
+        data = f.read()
+    try:
+        return _state_from_obj(json.loads(data, parse_constant=_reject_constant))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: not a valid hyperopt checkpoint: {e}") from None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _state_from_obj(obj) -> OptimizerState:
+    tag = obj.get("format") if isinstance(obj, dict) else None
+    if tag != _CHECKPOINT_FORMAT:
+        raise ValueError(f"format tag {tag!r}, expected {_CHECKPOINT_FORMAT!r}")
+    space = space_from_obj(obj["space"])
+    d = space.d
+    state = new_optimizer(space, exploration_p=_number(obj, "exploration_p"),
+                          alpha=_number(obj, "alpha"), noise_eps=_number(obj, "noise_eps"),
+                          seed=_integer(obj, "rng_seed"))
+    seqs = obj["seqs"]
+    if not isinstance(seqs, list) or any(type(q) is not int for q in seqs):
+        raise ValueError("seqs must be a list of integers")
+    n = len(seqs)
+    points = _float_array(obj["points"], (n, d), "points")
+    values = _float_array(obj["values"], (n,), "values")
+    max_slope = _number(obj, "max_slope")
+    state.lipschitz_k = _number(obj, "lipschitz_k")
+    if max_slope < 0 or state.lipschitz_k != _snap_slope(max_slope, state.alpha):
+        raise ValueError(f"lipschitz_k {state.lipschitz_k} does not match the stored "
+                         f"steepest slope {max_slope}")
+    state.tr_radius = _number(obj, "tr_radius")
+    state.phase = obj["phase"]
+    if state.phase not in ("global", "local"):
+        raise ValueError(f"unknown phase {state.phase!r}")
+    state.tr_fallbacks = _integer(obj, "tr_fallbacks")
+    tr = obj["tr"]
+    if tr is not None:
+        m = len(tr["fit_values"])
+        state.tr = TrustRegionModel(
+            center=_float_array(tr["center"], (d,), "tr center"),
+            radius=_number(tr, "radius"),
+            quad_coeffs=_float_array(tr["coeffs"], (space.n_quad_terms,), "tr coeffs"),
+            fit_points=_float_array(tr["fit_points"], (m, d), "tr fit_points"),
+            fit_values=_float_array(tr["fit_values"], (m,), "tr fit_values"))
+    if obj["pending"] is not None:
+        state.pending = _float_array(obj["pending"], (d,), "pending")
+    rng_state = obj["rng"]
+    if not isinstance(rng_state, dict) or rng_state.get("bit_generator") != "PCG64":
+        raise ValueError("rng: only PCG64 generator state is supported")
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = rng_state
+    state.rng = np.random.Generator(bit_generator)
+    state.trials = [Trial(point=p, value=v, seq=q)
+                    for p, v, q in zip(points, values.tolist(), seqs)]
+    state._arrays = _TrialArrays(points.copy(), values.copy(), n,
+                                 state.trials[-1] if n else None, max_slope)
+    return state
+
+
+def _number(obj: dict, key: str) -> float:
+    v = obj[key]
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _integer(obj: dict, key: str) -> int:
+    v = obj[key]
+    if type(v) is not int or v < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {v!r}")
+    return v
+
+
+def _float_array(value, shape: tuple, what: str) -> np.ndarray:
+    a = np.array(value, dtype=np.float64)
+    if a.shape != shape and not (a.shape == (0,) and 0 in shape):
+        raise ValueError(f"{what}: shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what}: values must be finite")
+    return a.reshape(shape)
 
 
 # ---------------------------------------------------------------- space I/O
@@ -391,11 +594,14 @@ def load_space(path) -> SearchSpace:
         return space_from_obj(json.load(f))
 
 
+def _space_to_obj(space: SearchSpace) -> list:
+    return [{"name": d.name, "lo": d.lo, "hi": d.hi, "integer": d.is_integer}
+            for d in space.dims]
+
+
 def save_space(space: SearchSpace, path) -> None:
-    obj = [{"name": d.name, "lo": d.lo, "hi": d.hi, "integer": d.is_integer}
-           for d in space.dims]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
+        json.dump(_space_to_obj(space), f, indent=2)
         f.write("\n")
 
 

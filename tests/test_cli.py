@@ -147,6 +147,21 @@ class TestHyperopt:
             best = max(best, l["value"])
             assert l["best_so_far"] == best
 
+    def test_trial_log_carries_optimizer_state(self, tmp_path):
+        out = tmp_path / "trials.jsonl"
+        assert run_cli("hyperopt", "--space", "table3.json", "--budget", "40",
+                       "--objective", "builtin:sphere", "--seed", "4",
+                       "--out", str(out)) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert all(set(l) == {"seq", "point", "value", "best_so_far", "phase",
+                              "lipschitz_k", "tr_radius", "tr_fallbacks"}
+                   for l in lines)
+        assert {l["phase"] for l in lines} == {"global", "local"}
+        assert all(l["tr_radius"] > 0 for l in lines)
+        for a, b in zip(lines, lines[1:]):  # both only ever grow
+            assert b["lipschitz_k"] >= a["lipschitz_k"]
+            assert b["tr_fallbacks"] >= a["tr_fallbacks"]
+
     def test_explicit_space_file(self, tmp_path):
         space = tmp_path / "s.json"
         space.write_text(json.dumps([{"name": "x", "lo": 0, "hi": 1}]))

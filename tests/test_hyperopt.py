@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist
 
 from odkit import hyperopt as hp
 from oracles import pure_random_search
@@ -299,6 +302,176 @@ class TestCheckpointing:
             hp.tell(resumed, xb, f(xb))
             b.append(tuple(xb))
         assert a == b
+
+    def test_forty_saved_plus_thirty_equals_seventy(self, tmp_path):
+        space = hp.load_bundled_space("table3")
+        f = _table3_objective(space)
+        straight = hp.new_optimizer(space, seed=3)
+        hp.run_optimization(straight, f, 70)
+        state = hp.new_optimizer(space, seed=3)
+        hp.run_optimization(state, f, 40)
+        hp.save_state(state, tmp_path / "ckpt.json")
+        resumed = hp.run_optimization(hp.load_state(tmp_path / "ckpt.json"), f, 30)
+        assert _trial_log(resumed) == _trial_log(straight)
+        for key in ("lipschitz_k", "tr_radius", "phase", "tr_fallbacks"):
+            assert getattr(resumed, key) == getattr(straight, key)
+        assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
+
+    def test_pending_ask_and_model_survive(self, tmp_path):
+        f = hp.BUILTIN_OBJECTIVES["quad2"]
+        state = hp.new_optimizer(UNIT_2D, seed=6)
+        hp.run_optimization(state, f, 24)
+        x = hp.ask(state)
+        hp.save_state(state, tmp_path / "ckpt.json")
+        resumed = hp.load_state(tmp_path / "ckpt.json")
+        assert np.array_equal(resumed.pending, x)
+        assert state.tr is not None
+        for key in ("center", "radius", "quad_coeffs", "fit_points", "fit_values"):
+            assert np.array_equal(getattr(resumed.tr, key), getattr(state.tr, key))
+        hp.tell(resumed, x, f(x))
+        hp.tell(state, x, f(x))
+        assert _trial_log(resumed) == _trial_log(state)
+
+    @pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+    def test_pickle_payload_is_rejected_unrun(self, tmp_path, protocol):
+        marker = tmp_path / "marker"
+
+        class Payload:
+            def __reduce__(self):
+                return open, (str(marker), "w")
+        path = tmp_path / "ckpt.pkl"
+        path.write_bytes(pickle.dumps(Payload(), protocol=protocol))
+        with pytest.raises(ValueError):
+            hp.load_state(path)
+        assert not marker.exists()
+
+    def _malformed(self, tmp_path, edit):
+        state = hp.new_optimizer(UNIT_2D, seed=2)
+        hp.run_optimization(state, hp.BUILTIN_OBJECTIVES["quad2"], 12)
+        path = tmp_path / "ckpt.json"
+        hp.save_state(state, path)
+        obj = json.loads(path.read_text())
+        text = edit(obj)  # edits return replacement text or change obj in place
+        path.write_text(text if isinstance(text, str) else json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: json.dumps(o)[: len(json.dumps(o)) // 2], "Expecting"),
+        (lambda o: "[]", "format tag"),
+        (lambda o: o.update(format="odkit.hyperopt.state/0"), "format tag"),
+        (lambda o: o["values"].pop(), "values: shape"),
+        (lambda o: o["seqs"].pop(), "points: shape"),
+        (lambda o: [p.pop() for p in o["points"]], "points: shape"),
+        (lambda o: o["tr"]["fit_values"].pop(), "fit_points: shape"),
+        (lambda o: o.update(pending=[0.5]), "pending: shape"),
+        (lambda o: o["rng"].update(bit_generator="MT19937"), "PCG64"),
+        (lambda o: o.update(lipschitz_k=o["lipschitz_k"] * 1.5), "does not match"),
+        (lambda o: o.update(values=[None] * len(o["values"])), "finite"),
+        (lambda o: json.dumps(o).replace('"alpha": 0.5', '"alpha": NaN'), "NaN"),
+        (lambda o: o.__delitem__("phase"), "phase"),
+    ])
+    def test_malformed_checkpoint_is_value_error(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            hp.load_state(self._malformed(tmp_path, edit))
+
+    def test_unsavable_state_is_value_error(self, tmp_path):
+        state = hp.new_optimizer(UNIT_1D, seed=0)
+        state.rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError):
+            hp.save_state(state, tmp_path / "ckpt.json")
+        state = hp.new_optimizer(UNIT_1D, seed=0)
+        _seeded_trials(state, [(0.0,), (1.0,)], [0.0, 1.0])
+        state.lipschitz_k = 0.0  # stale: does not cover the trials
+        with pytest.raises(ValueError):
+            hp.save_state(state, tmp_path / "ckpt.json")
+
+
+def _table3_objective(space):
+    centre = np.array([0.3, 0.6, 0.45, 0.5])
+
+    def objective(x):
+        u = (np.asarray(x) - space.lows) / (space.highs - space.lows) - centre
+        return float(-np.sum(u * u) + 0.05 * np.sum(np.cos(6 * np.pi * u)))
+    return objective
+
+
+def _trial_log(state):
+    return [(t.point.tobytes(), t.value, t.seq) for t in state.trials]
+
+
+class TestTrialCache:
+    """The cached arrays and running slope agree with a rebuild from the
+    trial list, however that list was changed."""
+
+    GRID = hp.SearchSpace((hp.Dim("a", 0, 2, is_integer=True),
+                           hp.Dim("b", 0, 2, is_integer=True)))
+    VALUES = st.sampled_from([0.0, 1.0, 2.5, -1.0])
+
+    @staticmethod
+    def _check(state, x):
+        assert state.lipschitz_k == hp.lipschitz_estimate(state.trials, state.alpha)
+        vals = [t.value for t in state.trials]
+        assert hp.best(state) is state.trials[vals.index(max(vals))]
+        pts = np.array([t.point for t in state.trials])
+        ref = float((np.array(vals) + state.lipschitz_k
+                     * np.linalg.norm(pts - x, axis=1)).min() + state.noise_eps)
+        assert hp._upper_bound(state, x) == ref
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("tell"), VALUES),
+        st.tuples(st.just("append"), st.tuples(st.integers(0, 2), st.integers(0, 2)), VALUES),
+        st.tuples(st.just("truncate"), st.integers(0, 6)),
+        st.tuples(st.just("replace"), st.booleans())), max_size=30),
+        st.integers(0, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rebuild_after_every_tell(self, ops, seed):
+        state = hp.new_optimizer(self.GRID, alpha=0.25, seed=seed)
+        for op in ops:
+            if op[0] == "tell":
+                x = hp.ask(state)
+                hp.tell(state, x, op[1])
+                self._check(state, x + 0.5)
+            elif op[0] == "append":
+                state.trials.append(hp.Trial(point=np.array(op[1], float), value=op[2],
+                                             seq=len(state.trials)))
+            elif op[0] == "truncate":
+                del state.trials[op[1]:]
+            elif op[1]:  # a new list, same length, other values
+                state.trials = [hp.Trial(t.point.copy(), 1.0 - t.value, t.seq)
+                                for t in state.trials]
+            else:
+                state.trials = list(state.trials)
+
+    def test_new_slopes_are_bitwise_pdist_slopes(self):
+        # the running maximum only equals lipschitz_estimate's if every
+        # slope is computed bit for bit as pdist computes it; with one
+        # earlier point the maximum is that single slope
+        rng = np.random.default_rng(3)
+        for d in range(1, 17):
+            for _ in range(100):
+                pts = rng.uniform(-50, 50, (2, d)) * rng.uniform(1e-3, 1, d)
+                vals = rng.normal(size=2)
+                ref = abs(vals[0] - vals[1]) / pdist(pts)[0]
+                assert hp._max_slope_to(pts[:1], vals[:1], pts[1], vals[1]) == ref
+
+    def test_running_k_along_a_table3_study(self):
+        space = hp.load_bundled_space("table3")
+        f = _table3_objective(space)
+        state = hp.new_optimizer(space, seed=8)
+        for _ in range(300):
+            x = hp.ask(state)
+            hp.tell(state, x, f(x))
+            assert state.lipschitz_k == hp.lipschitz_estimate(state.trials, state.alpha)
+        self._check(state, space.lows)
+
+    @given(st.integers(1, 5).flatmap(lambda d: hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 12), st.just(d)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False))))
+    @settings(max_examples=60, deadline=None)
+    def test_design_matrix_is_stacked_features(self, pts):
+        ref = np.vstack([hp._quad_features(p) for p in pts])
+        got = hp._quad_design(pts)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestSpaceIO:
