@@ -12,8 +12,8 @@ image to a distinct anchor, preferring high overlap.
 
 All matchers are deterministic: argsorts are stable and ties always break
 toward the ascending anchor index. ``ODF_THREADS`` caps the worker threads
-used by the data-parallel operations (default: hardware parallelism);
-results are identical for every thread count.
+``build_rankings`` uses (default: hardware parallelism); results are
+identical for every thread count.
 """
 
 from __future__ import annotations
@@ -103,23 +103,20 @@ class MatchAssignment:
 class DistanceRanking:
     """Per-box anchor rankings feeding ``match_parallel``.
 
-    ``dist_ids[n]`` is a full-length ranking for box ``n``: anchors with
-    positive IOU sorted by descending IOU, then the Euclidean-sorted
-    anchors filling the remaining positions. ``crossover[n]`` is the prefix
-    length (the number of anchors with positive IOU). The Euclidean suffix can
-    repeat prefix anchors, so a row may name fewer distinct anchors than
-    its length; ``euclid_ids`` keeps each box's complete Euclidean order so
-    selection can continue past an exhausted row.
+    ``dist_ids[n]`` is a permutation of every anchor for box ``n``: the
+    anchors with positive IOU by descending IOU, then every IOU-0 anchor
+    by ascending Euclidean distance, ties toward the lower index in both
+    parts. ``crossover[n]`` is the length of the IOU part (the number of
+    anchors with positive IOU). A row names every anchor, so selection
+    never runs past its end.
     """
 
     dist_ids: np.ndarray    # (N, A) int64
     crossover: np.ndarray   # (N,) int64
-    euclid_ids: np.ndarray  # (N, A) int64
 
     def __post_init__(self):
         self.dist_ids = np.asarray(self.dist_ids, dtype=np.int64)
         self.crossover = np.asarray(self.crossover, dtype=np.int64).reshape(-1)
-        self.euclid_ids = np.asarray(self.euclid_ids, dtype=np.int64)
 
     @property
     def n_boxes(self) -> int:
@@ -245,12 +242,13 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
-    """Build the per-box combined rankings, one box per parallel work item.
+    """Build the per-box rankings, one chunk of boxes per worker thread.
 
-    Each row is the positive-IOU anchors sorted by descending IOU,
-    followed by the first entries of the box's Euclidean order, for a fixed
-    row length of ``n_anchors``. Rows are mutually independent, so the
-    result is identical regardless of evaluation order or thread count.
+    Each row is a permutation of all anchors: the positive-IOU anchors by
+    descending IOU, then the IOU-0 anchors by ascending Euclidean
+    distance, ties toward the lower index (one stable sort per chunk).
+    Rows are mutually independent, so the result is identical regardless
+    of evaluation order or thread count.
     """
     anchor_arr = as_box_array(anchors)
     n_anchors = len(anchor_arr)
@@ -261,62 +259,45 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     n = len(boxes)
     dist_ids = np.empty((n, n_anchors), dtype=np.int64)
     crossover = np.empty(n, dtype=np.int64)
-    euclid_ids = np.empty((n, n_anchors), dtype=np.int64)
 
     def work(lo: int, hi: int) -> None:
         iou = iou_matrix(boxes[lo:hi], anchor_arr)
         edist = euclidean_distance_matrix(boxes[lo:hi], anchor_arr)
-        for r in range(hi - lo):
-            iou_order = np.argsort(-iou[r], kind="stable")
-            j = int(np.count_nonzero(iou[r] > 0.0))
-            e_order = np.argsort(edist[r], kind="stable")
-            euclid_ids[lo + r] = e_order
-            crossover[lo + r] = j
-            dist_ids[lo + r, :j] = iou_order[:j]
-            dist_ids[lo + r, j:] = e_order[: n_anchors - j]
+        pos = iou > 0.0
+        crossover[lo:hi] = np.count_nonzero(pos, axis=1)
+        # overlapping anchors key as -iou in [-1, 0), the rest as their
+        # distance, >= 0, so one stable sort puts the IOU part first
+        dist_ids[lo:hi] = np.argsort(np.where(pos, -iou, edist), axis=1, kind="stable")
 
     _run_chunked(n, work)
-    return DistanceRanking(dist_ids, crossover, euclid_ids)
+    return DistanceRanking(dist_ids, crossover)
 
 
-def _select_strict(rows, euclid_rows, n_anchors: int) -> np.ndarray:
+def _select_strict(rows, n_anchors: int) -> np.ndarray:
     used = np.zeros(n_anchors, dtype=bool)
     chosen = np.empty(len(rows), dtype=np.int64)
     for g, row in enumerate(rows):
-        pick = -1
         for a in row:
             if not used[a]:
-                pick = int(a)
                 break
-        if pick < 0:
-            # Combined row exhausted (its distinct anchors all used);
-            # continue down the full Euclidean order, as the serial
-            # matcher effectively does.
-            for a in euclid_rows[g]:
-                if not used[a]:
-                    pick = int(a)
-                    break
-        chosen[g] = pick
-        used[pick] = True
+        else:
+            raise InvalidSpecError(f"ranking row of box {g} in its image names no unused anchor")
+        chosen[g] = a
+        used[a] = True
     return chosen
 
 
-def _select_paper_literal(rows, euclid_rows) -> np.ndarray:
+def _select_paper_literal(rows) -> np.ndarray:
     chosen = np.empty(len(rows), dtype=np.int64)
     prev = -1
     for g, row in enumerate(rows):
-        pick = -1
         for a in row:
             if a != prev:
-                pick = int(a)
                 break
-        if pick < 0:
-            for a in euclid_rows[g]:
-                if a != prev:
-                    pick = int(a)
-                    break
-        chosen[g] = pick
-        prev = pick
+        else:
+            raise InvalidSpecError(
+                f"ranking row of box {g} in its image names only the previous pick")
+        chosen[g] = prev = a
     return chosen
 
 
@@ -327,32 +308,34 @@ def match_parallel(ranking: DistanceRanking, rois: SparseLabelBatch,
     In ``strict`` dedup mode every anchor already used within the image is
     eliminated; the output then equals ``match_serial`` on the same
     instance. In ``paper_literal`` mode only the immediately previous
-    selection is eliminated. Images are independent work items.
+    selection is eliminated. Raises ``IndexError`` when ``dist_ids`` is not
+    2-D or names an id outside ``[0, n_anchors)``.
     """
     cfg = cfg or MatchConfig()
     rois.validate()
     if ranking.n_boxes != rois.n_boxes:
         raise InvalidSpecError(
             f"ranking covers {ranking.n_boxes} boxes but batch has {rois.n_boxes}")
+    ids = ranking.dist_ids
     n_anchors = ranking.n_anchors
+    if ids.ndim != 2:
+        raise IndexError(f"dist_ids must be 2-D, got shape {ids.shape}")
+    # one pass over the ids: a negative id reads as a huge unsigned one
+    if ids.size and ids.view(np.uint64).max() >= n_anchors:
+        raise IndexError(f"dist_ids names anchors outside [0, {n_anchors})")
     off = rois.offsets()
-    out: list[np.ndarray | None] = [None] * rois.batch_size
-
     counts = np.diff(off)
     over = np.nonzero(counts > n_anchors)[0]
     if len(over):
         raise CapacityError(int(over[0]), int(counts[over[0]]), n_anchors)
 
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rows = ranking.dist_ids[off[i]:off[i + 1]]
-            erows = ranking.euclid_ids[off[i]:off[i + 1]]
-            if cfg.dedup_mode == "strict":
-                out[i] = _select_strict(rows, erows, n_anchors)
-            else:
-                out[i] = _select_paper_literal(rows, erows)
-
-    _run_chunked(rois.batch_size, work)
+    out = []
+    for i in range(rois.batch_size):
+        rows = ids[off[i]:off[i + 1]]
+        if cfg.dedup_mode == "strict":
+            out.append(_select_strict(rows, n_anchors))
+        else:
+            out.append(_select_paper_literal(rows))
     return MatchAssignment(out)
 
 

@@ -4,7 +4,10 @@ Stages run as one worker thread each, connected by bounded FIFO queues of
 capacity ``prefetch_depth``; batch ownership moves through the queues, so
 no state is shared. ``prefetch_depth = 0`` degenerates to a fully
 synchronous loop (no overlap between stages). Shutdown is an end-of-stream
-sentinel; the stage graph is a line, so deadlock is impossible.
+sentinel that every thread forwards. When a stage or ``on_batch`` raises,
+the run stops feeding, every thread drains its input queue until the
+sentinel, and the first exception is re-raised in the caller once every
+thread has exited.
 
 Stage latency is either simulated (sleep for the modeled cost) or real
 (run a bound callable and measure it). The analytic model predicts
@@ -28,6 +31,8 @@ _PLACEMENTS = ("host", "accelerator")
 # the first stage is charged transfer if it is not host-placed, since
 # input records originate on the host
 _SOURCE_PLACEMENT = "host"
+# end of stream; a stage may return any payload, None included
+_END = object()
 
 
 class DataUnderrunError(RuntimeError):
@@ -150,7 +155,10 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
     ``matcher`` (a callable on a list of records) binds to the stage named
     ``match``; ``workers`` maps further stage names to callables on the
     batch payload. ``on_batch(payload)`` fires at the sink in exit order.
-    Stages without a bound callable sleep their modeled cost.
+    Stages without a bound callable sleep their modeled cost. An exception
+    raised by a stage callable or ``on_batch`` propagates to the caller;
+    with prefetching, the first one raised is re-raised after every
+    pipeline thread has exited, and batches still in flight are dropped.
     """
     stage_fns = dict(workers or {})
     if matcher is not None:
@@ -181,35 +189,53 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
                 on_batch(payload)
     else:
         qs = [queue.Queue(maxsize=cfg.prefetch_depth) for _ in range(len(stages) + 1)]
+        stop = threading.Event()
+        errors: list[BaseException] = []
 
         def feed():
             for payload in batches:
+                if stop.is_set():
+                    break
                 qs[0].put(payload)
-            qs[0].put(None)
+            qs[0].put(_END)
 
         def work(pos: int):
             st = stages[pos]
             while True:
                 payload = qs[pos].get()
-                if payload is None:
-                    qs[pos + 1].put(None)  # pass the sentinel downstream
+                if payload is _END:
+                    qs[pos + 1].put(_END)  # pass the sentinel downstream
                     return
-                payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
+                if stop.is_set():
+                    continue  # drain, so that upstream puts never block
+                try:
+                    payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
+                except BaseException as e:  # re-raised in the caller
+                    errors.append(e)
+                    stop.set()
+                    continue
                 qs[pos + 1].put(payload)
 
         threads = [threading.Thread(target=feed)]
         threads += [threading.Thread(target=work, args=(pos,)) for pos in range(len(stages))]
         for th in threads:
             th.start()
-        while True:
-            payload = qs[-1].get()
-            if payload is None:
-                break
-            done += 1
-            if on_batch is not None:
-                on_batch(payload)
+        try:
+            while (payload := qs[-1].get()) is not _END:
+                if stop.is_set():
+                    continue
+                done += 1
+                if on_batch is not None:
+                    on_batch(payload)
+        except BaseException as e:
+            errors.append(e)
+            stop.set()
+            while qs[-1].get() is not _END:
+                pass
         for th in threads:
             th.join()
+        if errors:
+            raise errors[0]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
 
     bps = done / (wall_ms / 1000.0) if wall_ms > 0 else float("inf")

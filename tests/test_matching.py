@@ -26,7 +26,12 @@ from odkit import (
     total_weight,
 )
 from odkit import matching
-from odkit.geometry import InvalidBoxError, InvalidSpecError
+from odkit.geometry import (
+    InvalidBoxError,
+    InvalidSpecError,
+    euclidean_distance_matrix,
+    iou_matrix,
+)
 from oracles import (
     brute_force_exact,
     full_permutation_exact,
@@ -77,6 +82,84 @@ def _seed_lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
             raise MatchInconsistencyError("optimal refinement failed to extend prefix")
     return chosen
 
+
+def _seed_truncated_rankings(anchors, rois):
+    """build_rankings before its rows became permutations: the IOU prefix,
+    then the first entries of the Euclidean order (which can repeat prefix
+    anchors), cut to the anchor count, plus each box's full Euclidean
+    order. Frozen here with the two selectors below as the reference the
+    permutation rows must reproduce."""
+    n_anchors = len(anchors)
+    boxes = rois.rois_values
+    iou = iou_matrix(boxes, anchors)
+    edist = euclidean_distance_matrix(boxes, anchors)
+    dist_ids = np.empty((len(boxes), n_anchors), dtype=np.int64)
+    crossover = np.empty(len(boxes), dtype=np.int64)
+    euclid_ids = np.empty((len(boxes), n_anchors), dtype=np.int64)
+    for r in range(len(boxes)):
+        iou_order = np.argsort(-iou[r], kind="stable")
+        j = int(np.count_nonzero(iou[r] > 0.0))
+        e_order = np.argsort(edist[r], kind="stable")
+        euclid_ids[r] = e_order
+        crossover[r] = j
+        dist_ids[r, :j] = iou_order[:j]
+        dist_ids[r, j:] = e_order[: n_anchors - j]
+    return dist_ids, crossover, euclid_ids
+
+
+def _seed_select_strict(rows, euclid_rows, n_anchors):
+    used = np.zeros(n_anchors, dtype=bool)
+    chosen = np.empty(len(rows), dtype=np.int64)
+    for g, row in enumerate(rows):
+        pick = -1
+        for a in row:
+            if not used[a]:
+                pick = int(a)
+                break
+        if pick < 0:  # row exhausted: go on down the full Euclidean order
+            for a in euclid_rows[g]:
+                if not used[a]:
+                    pick = int(a)
+                    break
+        chosen[g] = pick
+        used[pick] = True
+    return chosen
+
+
+def _seed_select_paper_literal(rows, euclid_rows):
+    chosen = np.empty(len(rows), dtype=np.int64)
+    prev = -1
+    for g, row in enumerate(rows):
+        pick = -1
+        for a in row:
+            if a != prev:
+                pick = int(a)
+                break
+        if pick < 0:
+            for a in euclid_rows[g]:
+                if a != prev:
+                    pick = int(a)
+                    break
+        chosen[g] = pick
+        prev = pick
+    return chosen
+
+
+def _seed_match_parallel(anchors, rois, mode):
+    """Per image: (assignment, number of boxes the fallback served)."""
+    dist_ids, _, euclid_ids = _seed_truncated_rankings(anchors, rois)
+    off = rois.offsets()
+    out = []
+    for i in range(rois.batch_size):
+        rows, erows = dist_ids[off[i]:off[i + 1]], euclid_ids[off[i]:off[i + 1]]
+        if mode == "strict":
+            chosen = _seed_select_strict(rows, erows, len(anchors))
+        else:
+            chosen = _seed_select_paper_literal(rows, erows)
+        out.append((chosen, sum(int(a) not in row for a, row in zip(chosen, rows))))
+    return out
+
+
 # three anchors on a row; box 0 sits on anchor 0, box 1 on anchor 1, and
 # box 2 overlaps only anchor 0 (already taken), exposing the dedup modes
 CE_ANCHORS = np.array([[10, 10, 8, 8], [30, 10, 8, 8], [50, 10, 8, 8]], float)
@@ -100,6 +183,29 @@ def small_grid(gw=3, gh=3, k=2, image=96):
     spec = GridSpec(image_w=image, image_h=image, grid_w=gw, grid_h=gh,
                     templates=tuple((12.0 + 6 * t, 10.0 + 4 * t) for t in range(k)))
     return build_anchor_grid(spec)
+
+
+TINY_GRIDS = [(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1, 1), (1, 1, 3),
+              (2, 2, 1), (2, 1, 2), (1, 2, 2), (1, 1, 4)]
+
+
+def tiny_grid_instance(rng):
+    """2-4 anchors and at most as many boxes per image, placed near
+    anchors: the truncated rows of ``_seed_truncated_rankings`` repeat
+    anchors here, and its fallback runs."""
+    anchors = small_grid(*TINY_GRIDS[int(rng.integers(len(TINY_GRIDS)))])
+    batch = []
+    for _ in range(int(rng.integers(1, 4))):
+        nb = int(rng.integers(0, len(anchors) + 1))
+        near = anchors[rng.integers(len(anchors), size=nb)]
+        batch.append(np.column_stack([near[:, :2] + rng.uniform(-24, 24, (nb, 2)),
+                                      near[:, 2:] * rng.uniform(0.3, 1.5, (nb, 2))]))
+    return anchors, batch
+
+
+def any_instance(seed):
+    rng = np.random.default_rng(seed)
+    return (tiny_grid_instance if seed % 2 else random_geometric_instance)(rng)
 
 
 class TestMatchSerial:
@@ -278,6 +384,93 @@ class TestWorkerErrors:
         # the lowest failing chunk's error, whatever the scheduling
         assert str(e.value) == f"chunk at {starts[0] if failing == 'all' else starts[-1]}"
         assert covered.tolist() == [1] * 7  # every chunk ran
+
+
+class TestPermutationRankings:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_seed_truncated_rankings(self, seed):
+        anchors, batch = any_instance(seed)
+        sparse = to_sparse(batch)
+        ranking = build_rankings(anchors, sparse)
+        seed_ids, seed_crossover, _ = _seed_truncated_rankings(anchors, sparse)
+        assert np.array_equal(ranking.crossover, seed_crossover)
+        for row, seed_row, j in zip(ranking.dist_ids, seed_ids, seed_crossover):
+            assert np.array_equal(row[:j], seed_row[:j])
+        for mode in ("strict", "paper_literal"):
+            got = match_parallel(ranking, sparse, MatchConfig(dedup_mode=mode))
+            want = [chosen for chosen, _ in _seed_match_parallel(anchors, sparse, mode)]
+            assert got == MatchAssignment(want)
+
+    def test_seed_fallback_runs_on_tiny_grids(self):
+        served = {"strict": 0, "paper_literal": 0}
+        for seed in range(200):
+            anchors, batch = tiny_grid_instance(np.random.default_rng(seed))
+            sparse = to_sparse(batch)
+            ranking = build_rankings(anchors, sparse)
+            for mode in served:
+                want = _seed_match_parallel(anchors, sparse, mode)
+                served[mode] += sum(n for _, n in want)
+                got = match_parallel(ranking, sparse, MatchConfig(dedup_mode=mode))
+                assert got == MatchAssignment([chosen for chosen, _ in want])
+        assert served["strict"] > 0 and served["paper_literal"] > 0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_row_layout(self, seed):
+        anchors, batch = any_instance(seed)
+        sparse = to_sparse(batch)
+        rankings = []
+        for threads in ("1", "2", "3"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("ODF_THREADS", threads)
+                rankings.append(build_rankings(anchors, sparse))
+        for r in rankings[1:]:
+            assert np.array_equal(r.dist_ids, rankings[0].dist_ids)
+            assert np.array_equal(r.crossover, rankings[0].crossover)
+        iou = iou_matrix(sparse.rois_values, anchors)
+        edist = euclidean_distance_matrix(sparse.rois_values, anchors)
+        for n, row in enumerate(rankings[0].dist_ids):
+            overlapping = [a for a in range(len(anchors)) if iou[n, a] > 0]
+            rest = [a for a in range(len(anchors)) if iou[n, a] <= 0]
+            assert rankings[0].crossover[n] == len(overlapping)
+            assert row.tolist() == (sorted(overlapping, key=lambda a: (-iou[n, a], a))
+                                    + sorted(rest, key=lambda a: (edist[n, a], a)))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_strict_equals_scan_reference(self, seed):
+        anchors, batch = any_instance(seed)
+        sparse = to_sparse(batch)
+        got = match_parallel(build_rankings(anchors, sparse), sparse)
+        for boxes, ids in zip(batch, got.anchor_ids):
+            assert list(ids) == serial_match_reference(anchors, boxes)
+
+    @pytest.mark.parametrize("mode", ["strict", "paper_literal"])
+    @pytest.mark.parametrize("bad", ["negative", "past_end"])
+    def test_out_of_range_ids_rejected(self, mode, bad):
+        anchors = small_grid()
+        sparse = to_sparse([np.array([[20.0, 20, 8, 8], [40.0, 40, 8, 8]])] * 3)
+        ranking = build_rankings(anchors, sparse)
+        ranking.dist_ids[4, :] = -1 if bad == "negative" else len(anchors)
+        with pytest.raises(IndexError):
+            match_parallel(ranking, sparse, MatchConfig(dedup_mode=mode))
+
+    def test_ids_must_be_two_dimensional(self):
+        anchors = small_grid()
+        sparse = to_sparse([np.array([[20.0, 20, 8, 8]])])
+        ranking = build_rankings(anchors, sparse)
+        ranking.dist_ids = ranking.dist_ids[:, :, None]
+        with pytest.raises(IndexError):
+            match_parallel(ranking, sparse)
+
+    @pytest.mark.parametrize("mode", ["strict", "paper_literal"])
+    def test_row_that_runs_out_is_rejected(self, mode):
+        # rows naming one anchor only: the second box finds nothing to take
+        sparse = to_sparse([np.array([[20.0, 20, 8, 8], [40.0, 40, 8, 8]])])
+        ranking = matching.DistanceRanking(np.zeros((2, 18)), np.zeros(2))
+        with pytest.raises(InvalidSpecError):
+            match_parallel(ranking, sparse, MatchConfig(dedup_mode=mode))
 
 
 BAD_ROWS = [(20.0, 20, -4, 8), (20.0, 20, 8, 0), (np.nan, 20, 8, 8), (20.0, np.inf, 8, 8)]

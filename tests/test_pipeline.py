@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -206,3 +209,102 @@ class TestJsonInterface:
                             "per_stage_busy_ms", "predicted_batches_per_sec"}
         text = format_report(r, ["s"])
         assert "batches/sec" in text and "busy ms [s]" in text
+
+
+class TestFailingStage:
+    """A raising stage callable or on_batch ends a prefetched run with its
+    own exception, and every thread the run started has exited. Each run
+    happens in a daemon thread joined with a timeout, so a hang fails the
+    test instead of stalling the suite."""
+
+    STAGES = ("a", "b", "c")
+
+    @staticmethod
+    def _run_with_timeout(cfg, **kwargs):
+        before = set(threading.enumerate())
+        outcome = {}
+
+        def target():
+            try:
+                outcome["report"] = run_pipeline(cfg, RECORDS, **kwargs)
+            except BaseException as e:
+                outcome["error"] = e
+
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "run_pipeline hung"
+        assert set(threading.enumerate()) - before == set()
+        return outcome
+
+    def _cfg(self, prefetch):
+        return PipelineConfig(stages=[StageSpec(s) for s in self.STAGES],
+                              batch_size=2, prefetch_depth=prefetch, n_batches=12)
+
+    @staticmethod
+    def _raise_at(index, exc):
+        def fn(payload):
+            if payload["index"] == index:
+                raise exc
+            return payload
+        return fn
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    @pytest.mark.parametrize("failing", ["a", "c"])
+    def test_raising_stage(self, prefetch, failing):
+        exc = RuntimeError(f"stage {failing} failed")
+        workers = {s: (lambda p: p) for s in self.STAGES}
+        workers[failing] = self._raise_at(3, exc)
+        seen = []
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers=workers,
+                                         on_batch=lambda p: seen.append(p["index"]))
+        assert outcome.get("error") is exc
+        assert seen == list(range(len(seen))) and len(seen) <= 3
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    def test_raising_on_batch(self, prefetch):
+        exc = KeyError("sink failed")
+        workers = {s: (lambda p: p) for s in self.STAGES}
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers=workers,
+                                         on_batch=self._raise_at(3, exc))
+        assert outcome.get("error") is exc
+
+    @pytest.mark.parametrize("prefetch", [1, 2])
+    def test_first_error_wins_when_every_batch_fails(self, prefetch):
+        def fail(payload):
+            raise ValueError(payload["index"])
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers={"b": fail})
+        assert isinstance(outcome.get("error"), ValueError)
+        assert outcome["error"].args == (0,)
+
+    def test_many_failing_stages_under_fast_switching(self):
+        # more stage threads than cores, each failing from a random batch on
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                raised = []
+
+                def fail_from(at):
+                    def fn(payload):
+                        if payload["index"] >= at:
+                            e = RuntimeError(at, payload["index"])
+                            raised.append(e)
+                            raise e
+                        return payload
+                    return fn
+
+                cfg = PipelineConfig(stages=[StageSpec(f"s{k}") for k in range(8)],
+                                     prefetch_depth=1 + seed % 2, n_batches=12)
+                workers = {f"s{k}": fail_from(int(rng.integers(0, 12))) for k in range(8)}
+                outcome = self._run_with_timeout(cfg, workers=workers)
+                assert any(outcome.get("error") is e for e in raised)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    def test_stage_returning_none_does_not_end_the_stream(self, prefetch):
+        # "b" has no callable, so it reads the None payload's box count
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers={"a": lambda p: None})
+        assert isinstance(outcome.get("error"), TypeError)
