@@ -108,8 +108,14 @@ def euclidean_distance(a, b) -> float:
 def euclidean_distance_matrix(a, b) -> np.ndarray:
     a = as_box_array(a)
     b = as_box_array(b)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # one (N, M) column difference at a time, added in coordinate order:
+    # the same floats as summing an (N, M, 4) array over its last axis
+    sq = np.zeros((len(a), len(b)))
+    for k in range(4):
+        d = a[:, k, None] - b[None, :, k]
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.optimize
 
 from .geometry import (
-    InvalidBoxError,
     InvalidSpecError,
     as_box_array,
     euclidean_distance_matrix,
@@ -226,6 +225,8 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise InvalidSpecError(f"cost must be a 2-D matrix, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidSpecError("cost matrix has non-finite entries")
     nb, na = c.shape
     if nb > na:
         raise CapacityError(0, nb, na)
@@ -341,10 +342,14 @@ def match_parallel(ranking: DistanceRanking, rois: SparseLabelBatch,
 
 def _as_cost_list(cost) -> list[np.ndarray]:
     if isinstance(cost, np.ndarray) and cost.ndim == 2:
-        return [np.asarray(cost, dtype=np.float64)]
-    mats = [np.asarray(c, dtype=np.float64) for c in cost]
-    if any(m.ndim != 2 for m in mats):
-        raise InvalidSpecError("each per-image cost must be a 2-D matrix")
+        mats = [np.asarray(cost, dtype=np.float64)]
+    else:
+        mats = [np.asarray(c, dtype=np.float64) for c in cost]
+    for idx, m in enumerate(mats):
+        if m.ndim != 2:
+            raise InvalidSpecError("each per-image cost must be a 2-D matrix")
+        if not np.all(np.isfinite(m)):
+            raise InvalidSpecError(f"cost matrix for image {idx} has non-finite entries")
     return mats
 
 
@@ -364,14 +369,15 @@ def match_greedy_bipartite(cost) -> MatchAssignment:
         if nb == 0:
             out.append(np.empty(0, dtype=np.int64))
             continue
-        box_idx, anchor_idx = np.divmod(np.arange(nb * na), na)
-        order = np.lexsort((anchor_idx, box_idx, c.ravel()))
+        # the flat index is box-major, so a stable sort of the costs
+        # orders edges by (cost, box, anchor)
+        order = np.argsort(c, axis=None, kind="stable")
+        box_idx, anchor_idx = np.divmod(order, na)
         box_done = np.zeros(nb, dtype=bool)
         anchor_done = np.zeros(na, dtype=bool)
         chosen = np.empty(nb, dtype=np.int64)
         remaining = nb
-        for e in order:
-            b, a = int(box_idx[e]), int(anchor_idx[e])
+        for b, a in zip(box_idx.tolist(), anchor_idx.tolist()):
             if box_done[b] or anchor_done[a]:
                 continue
             chosen[b] = a
@@ -395,79 +401,74 @@ def _lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
     """Among all minimum-total assignments, return the lexicographically
     smallest anchor tuple (box order).
 
-    The refinement runs on candidate columns only (see
-    ``_candidate_columns``), then maps the chosen columns back.
+    One solve gives the optimum ``best`` and its columns; their reduced
+    costs ``rc`` (see ``_reduced_costs``) bound every other assignment
+    from below by ``best`` plus the ``rc`` of its edges. The refinement
+    runs only on columns with some ``rc`` within ``margin`` of 0, then
+    maps the chosen columns back. ``margin`` covers the tolerance with
+    which the refinement accepts a total as optimal, plus rounding.
     """
-    best = _hungarian_total(c)
+    rows, cols = scipy.optimize.linear_sum_assignment(c)
+    best = float(c[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-    cols = _candidate_columns(c, tol)
-    return cols[_refine(c[:, cols], best, tol)]
+    margin = 4 * tol + 1e-12 * float(np.abs(c).sum())
+    rc = _reduced_costs(c, cols)
+    keep = np.flatnonzero(rc.min(axis=0) <= margin)
+    return keep[_refine(c[:, keep], rc[:, keep], best, margin)]
 
 
-def _candidate_columns(c: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending ids of the columns the lex-smallest optimum can use.
+def _reduced_costs(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Reduced costs ``c - u - v >= 0`` of an optimal LP dual, given the
+    optimal columns ``cols`` (row g uses ``cols[g]``).
 
-    In any minimum-cost assignment each row's column is among that row's
-    nb cheapest in (cost, index) order: otherwise one of those columns is
-    free, and moving the row onto it lowers the total or gives a
-    lexicographically smaller tuple. The refinement accepts totals within
-    ``tol`` of the optimum, so a row whose nb-th cost has near-ties that
-    are not exact ties also keeps every column within ``tol`` of it.
+    The column potentials ``v`` are shortest distances from 0 along the
+    moves "row g leaves ``cols[g]`` for column j", weight
+    ``c[g, j] - c[g, cols[g]]``, found by Bellman-Ford relaxation. An
+    optimal assignment has no negative cycle of such moves, and no
+    negative path onto an unused column, so ``v <= 0``, ``v = 0`` on the
+    unused columns, and a path visits at most ``nb`` edges: ``nb`` rounds
+    settle it. With ``u[g] = c[g, cols[g]] - v[cols[g]]``, the solver's
+    edges get ``rc = 0`` and any assignment costs at least the optimum
+    plus the ``rc`` of its edges.
     """
-    nb = c.shape[0]
-    order = np.argsort(c, axis=1, kind="stable")
-    keep = np.zeros(c.shape[1], dtype=bool)
-    keep[order[:, :nb].ravel()] = True
-    kth = np.take_along_axis(c, order[:, nb - 1:nb], axis=1)
-    near = np.abs(c - kth) <= tol
-    widen = np.any(near & (c != kth), axis=1)
-    keep |= np.any(near[widen], axis=0)
-    return np.flatnonzero(keep)
+    own = c[np.arange(len(cols)), cols]
+    move = c - own[:, None]
+    v = np.zeros(c.shape[1])
+    for _ in range(len(cols)):
+        relaxed = np.minimum(v, (v[cols, None] + move).min(axis=0))
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    return move + v[cols, None] - v
 
 
-def _refine(c: np.ndarray, best: float, tol: float) -> np.ndarray:
+def _refine(c: np.ndarray, rc: np.ndarray, best: float, margin: float) -> np.ndarray:
     """Fix rows one at a time, keeping the lowest available column from
     which the optimum ``best`` is still reachable.
 
-    For every available column of a row, the lower bound is the column's
-    cost plus the remaining rows' minima over the other available columns,
-    all in one step. Only columns whose bound reaches ``best`` get a
-    Hungarian solve, in ascending order; the first whose total is
-    ``best`` is kept.
+    A column is tried only while the reduced costs of the fixed prefix
+    plus its own stay within ``margin``; each tried column gets a
+    Hungarian solve of the remaining rows, in ascending order, and the
+    first whose total is ``best`` is kept.
     """
     nb = c.shape[0]
     avail = np.arange(c.shape[1])
     chosen = np.empty(nb, dtype=np.int64)
-    prefix = 0.0
+    prefix = prefix_rc = 0.0
     for g in range(nb):
         trials = prefix + c[g, avail]
         rest = c[g + 1:, avail]
-        lbs = trials + _minima_without_each_column(rest).sum(axis=1)
-        for pos in np.flatnonzero(~(lbs - best > tol)):
+        for pos in np.flatnonzero(prefix_rc + rc[g, avail] <= margin):
             total = trials[pos] + _hungarian_total(np.delete(rest, pos, axis=1))
             if math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9):
                 chosen[g] = avail[pos]
                 prefix = trials[pos]
+                prefix_rc += rc[g, avail[pos]]
                 avail = np.delete(avail, pos)
                 break
         else:  # numeric safety net; cannot trigger on exact ties
             raise MatchInconsistencyError("optimal refinement failed to extend prefix")
     return chosen
-
-
-def _minima_without_each_column(rest: np.ndarray) -> np.ndarray:
-    """``out[j, r]`` is the minimum of row r of ``rest`` with column j
-    left out: the row minimum, or its second-smallest value where the
-    (first) minimum sits in column j."""
-    n_rows, n_cols = rest.shape
-    out = np.empty((n_cols, n_rows))
-    rows = np.arange(n_rows)
-    first = np.argmin(rest, axis=1)
-    out[:] = rest[rows, first]
-    masked = rest.copy()
-    masked[rows, first] = np.inf
-    out[first, rows] = masked.min(axis=1)
-    return out
 
 
 def match_exact(cost) -> MatchAssignment:
@@ -482,8 +483,6 @@ def match_exact(cost) -> MatchAssignment:
         nb, na = c.shape
         if nb > na:
             raise CapacityError(idx, nb, na)
-        if not np.all(np.isfinite(c)):
-            raise InvalidSpecError(f"cost matrix for image {idx} has non-finite entries")
         if nb == 0:
             out.append(np.empty(0, dtype=np.int64))
             continue
@@ -528,8 +527,6 @@ def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
         if len(ids) != len(boxes):
             raise MatchInconsistencyError(
                 f"image {i}: {len(ids)} assignments for {len(boxes)} boxes")
-        if len(boxes) and (np.any(boxes[:, 2] <= 0) or np.any(boxes[:, 3] <= 0)):
-            raise InvalidBoxError(f"image {i} has non-positive ground-truth dimensions")
         anc = anchor_arr[ids]
         d = np.empty((len(boxes), 4), dtype=np.float64)
         if len(boxes):

@@ -14,6 +14,7 @@ from odkit import (
     ScoredBox,
     build_anchor_grid,
     euclidean_distance,
+    euclidean_distance_matrix,
     iou,
     iou_matrix,
     matching_distance,
@@ -24,6 +25,14 @@ from oracles import cell_iou, mc_iou, nms_reference
 coord = st.floats(-100, 100, allow_nan=False, width=32).map(float)
 size = st.floats(0.25, 64, allow_nan=False, width=32).filter(lambda v: v > 0).map(float)
 boxes = st.builds(lambda x, y, w, h: Box(x, y, w, h), coord, coord, size, size)
+
+
+def _seed_euclidean_distance_matrix(a, b):
+    """euclidean_distance_matrix before it dropped its (N, M, 4)
+    temporary, frozen here as the bitwise reference: rankings break
+    Euclidean ties by index, so the floats must not move."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 class TestBoxValidation:
@@ -103,6 +112,18 @@ class TestEuclideanDistance:
         assert euclidean_distance(Box(1, 2, 3, 4), Box(1, 2, 3, 4)) == 0.0
         assert euclidean_distance(Box(0, 0, 1, 1), Box(3, 4, 1, 1)) == 5.0
         assert euclidean_distance(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == 2.0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_bitwise_equals_seed_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (np.column_stack([rng.uniform(-500, 500, (n, 2)), rng.uniform(0.5, 300, (n, 2))])
+                for n in rng.integers(1, 60, 2))
+        if seed % 2:
+            a, b = np.round(a, 1), np.round(b, 1)
+        got = euclidean_distance_matrix(a, b)
+        want = _seed_euclidean_distance_matrix(a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAnchorGrid:

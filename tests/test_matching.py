@@ -357,9 +357,7 @@ class TestWorkerErrors:
         with pytest.raises(InvalidBoxError):
             build_rankings(small_grid(), to_sparse(batch))
 
-    @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_match_parallel_raises_bad_ranking(self, monkeypatch, threads):
-        monkeypatch.setenv("ODF_THREADS", threads)
+    def test_match_parallel_raises_bad_ranking(self):
         anchors = small_grid()
         sparse = to_sparse([np.array([[20.0, 20, 8, 8]])] * 6)
         ranking = build_rankings(anchors, sparse)
@@ -494,10 +492,9 @@ class TestBadBoxesAtTheBoundary:
             build_rankings(small_grid(), to_sparse(batch))
 
     @pytest.mark.parametrize("bad", BAD_ROWS)
-    def test_match_parallel(self, monkeypatch, bad):
+    def test_match_parallel(self, bad):
         anchors = small_grid()
         ranking = build_rankings(anchors, to_sparse([np.array([[20.0, 20, 8, 8]])] * 6))
-        self._no_workers(monkeypatch)
         batch = to_sparse([np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([bad])])
         with pytest.raises(InvalidBoxError):
             match_parallel(ranking, batch)
@@ -624,6 +621,76 @@ class TestMatchExact:
         a = match_exact(c)
         assert total_weight(a, [c]) == pytest.approx(total, abs=1e-9)
         assert tuple(a.anchor_ids[0]) == tup
+
+
+def _bound_instance(seed):
+    """Small cost matrices of three kinds the rc bound must survive:
+    tie-heavy integers, near ties, and negative costs with exact ties."""
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(1, 6))
+    shape = (nb, int(rng.integers(nb, 12)))
+    if seed % 3 == 0:
+        return rng.integers(-2, 3, shape).astype(np.float64)
+    if seed % 3 == 1:
+        return rng.choice([0.25, 0.5, 0.75, 1.0], shape) + rng.uniform(-6e-10, 6e-10, shape)
+    return np.where(rng.random(shape) < 0.5, -1.0, rng.uniform(-3, 1, shape))
+
+
+class TestReducedCostBound:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_holds_and_prunes_no_optimum(self, seed):
+        c = _bound_instance(seed)
+        nb, na = c.shape
+        rows, cols = scipy.optimize.linear_sum_assignment(c)
+        best = float(c[rows, cols].sum())
+        rc = matching._reduced_costs(c, cols)
+        scale = float(np.abs(c).sum())
+        margin = 4e-9 * max(1.0, abs(best)) + 1e-12 * scale
+        # dual feasible, and tight on the solver's edges
+        assert rc.min() >= -1e-12 * scale
+        assert np.allclose(rc[rows, cols], 0.0, rtol=0.0, atol=1e-12 * scale)
+        # any assignment costs at least the optimum plus its edges' rc
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            perm = rng.permutation(na)[:nb]
+            assert c[rows, perm].sum() >= best + rc[rows, perm].sum() - margin
+        # along match_exact's path, no column the bound skips would have
+        # passed the unpruned refinement's isclose check
+        prefix = prefix_rc = 0.0
+        avail = list(range(na))
+        for g, pick in enumerate(match_exact(c).anchor_ids[0].tolist()):
+            for j in avail:
+                if prefix_rc + rc[g, j] > margin:
+                    rest = c[np.ix_(range(g + 1, nb), [a for a in avail if a != j])]
+                    total = prefix + c[g, j] + matching._hungarian_total(rest)
+                    assert not math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9)
+            prefix += c[g, pick]
+            prefix_rc += rc[g, pick]
+            avail.remove(pick)
+
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteCosts:
+    """NaN compares false both ways, so a matcher that let it through
+    could pick NaN edges; every cost-taking function rejects it, and inf."""
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_serial_cost(self, bad):
+        with pytest.raises(InvalidSpecError, match="non-finite"):
+            match_serial_cost([[bad, 1.0], [0.5, bad]])
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("fn", [
+        match_greedy_bipartite,
+        match_exact,
+        lambda cost: total_weight(MatchAssignment([[0], [0, 1]]), cost),
+    ], ids=["greedy", "exact", "total_weight"])
+    def test_cost_list_names_the_image(self, fn, bad):
+        with pytest.raises(InvalidSpecError, match="image 1 has non-finite"):
+            fn([np.ones((1, 2)), np.array([[bad, 1.0], [0.5, bad]])])
 
 
 class TestTotalWeight:
