@@ -357,7 +357,9 @@ class TestWorkerErrors:
         with pytest.raises(InvalidBoxError):
             build_rankings(small_grid(), to_sparse(batch))
 
-    def test_match_parallel_raises_bad_ranking(self):
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_match_parallel_raises_bad_ranking(self, monkeypatch, threads):
+        monkeypatch.setenv("ODF_THREADS", threads)
         anchors = small_grid()
         sparse = to_sparse([np.array([[20.0, 20, 8, 8]])] * 6)
         ranking = build_rankings(anchors, sparse)
