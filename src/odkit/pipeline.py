@@ -7,7 +7,8 @@ synchronous loop (no overlap between stages). Shutdown is an end-of-stream
 sentinel that every thread forwards. When a stage or ``on_batch`` raises,
 the run stops feeding, every thread drains its input queue until the
 sentinel, and the first exception is re-raised in the caller once every
-thread has exited.
+thread has exited. Either way the exception carries a note of how many
+batches had completed.
 
 Stage latency is either simulated (sleep for the modeled cost) or real
 (run a bound callable and measure it). The analytic model predicts
@@ -148,6 +149,10 @@ def _run_stage(stage: StageSpec, prev_placement: str, payload: dict,
     return payload
 
 
+def _note_progress(e: BaseException, done: int, n_batches: int):
+    e.add_note(f"run_pipeline: {done} of {n_batches} batches completed")
+
+
 def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
                  on_batch=None) -> ThroughputReport:
     """Push ``n_batches`` batches from ``data`` through the stages.
@@ -156,9 +161,11 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
     ``match``; ``workers`` maps further stage names to callables on the
     batch payload. ``on_batch(payload)`` fires at the sink in exit order.
     Stages without a bound callable sleep their modeled cost. An exception
-    raised by a stage callable or ``on_batch`` propagates to the caller;
-    with prefetching, the first one raised is re-raised after every
-    pipeline thread has exited, and batches still in flight are dropped.
+    raised by a stage callable or ``on_batch`` propagates to the caller,
+    with a note of how many batches had completed (every stage, then
+    ``on_batch``) before it. With prefetching, the first one raised is
+    re-raised after every pipeline thread has exited, and batches still in
+    flight are dropped.
     """
     stage_fns = dict(workers or {})
     if matcher is not None:
@@ -181,12 +188,16 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
     t_start = time.perf_counter()
     if cfg.prefetch_depth == 0:
         # layout-A analogue: one batch traverses all stages before the next
-        for payload in batches:
-            for pos, st in enumerate(stages):
-                payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
-            done += 1
-            if on_batch is not None:
-                on_batch(payload)
+        try:
+            for payload in batches:
+                for pos, st in enumerate(stages):
+                    payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
+                if on_batch is not None:
+                    on_batch(payload)
+                done += 1
+        except BaseException as e:
+            _note_progress(e, done, cfg.n_batches)
+            raise
     else:
         qs = [queue.Queue(maxsize=cfg.prefetch_depth) for _ in range(len(stages) + 1)]
         stop = threading.Event()
@@ -224,9 +235,9 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
             while (payload := qs[-1].get()) is not _END:
                 if stop.is_set():
                     continue
-                done += 1
                 if on_batch is not None:
                     on_batch(payload)
+                done += 1
         except BaseException as e:
             errors.append(e)
             stop.set()
@@ -235,6 +246,7 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
         for th in threads:
             th.join()
         if errors:
+            _note_progress(errors[0], done, cfg.n_batches)
             raise errors[0]
     wall_ms = (time.perf_counter() - t_start) * 1000.0
 

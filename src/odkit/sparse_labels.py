@@ -15,9 +15,14 @@ ODR1 file layout (all integers little-endian):
             per box: x, y, w, h (f32), class (u16)  18 bytes
 
 Box coordinates are stored as float32; a record round-trips exactly when
-its coordinates are float32-representable. Reading is streamed: memory use
-is bounded by a single record. Each record's boxes are parsed and packed
-as one numpy array of the 18-byte box layout.
+its coordinates are float32-representable. A record's length field and
+header also take 18 bytes, so a run of records is one numpy array of the
+18-byte box layout: its header row, then its box rows, record after
+record. Reading and writing go by blocks of about 64 KiB of records, and
+memory use is bounded by one block: 64 KiB plus the record that fills it.
+The records read from one block share that block's box and class arrays:
+each record's ``boxes`` and ``classes`` are slices of them, so a record
+kept alive keeps its whole block's arrays.
 """
 
 from __future__ import annotations
@@ -35,9 +40,15 @@ _HEAD = struct.Struct("<QHHH")   # image_id, image_w, image_h, num_boxes
 _BOX = struct.Struct("<ffffH")   # x, y, w, h, class
 _BOX_DTYPE = np.dtype([("b", "<f4", (4,)), ("c", "<u2")])  # the same 18 bytes
 _LEN = struct.Struct("<I")
+# a record's length field and header, the same 18 bytes as a box row
+_HEAD_ROW = np.dtype([("len", "<u4"), ("id", "<u8"), ("w", "<u2"), ("h", "<u2"), ("n", "<u2")])
 
 _U16_MAX = 0xFFFF
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
+# slack absorbs float32 storage and mirror-arithmetic rounding
+_BOUNDS_SLACK = 1e-3
+# records are read, checked and written in blocks of at least this many bytes
+_BLOCK_BYTES = 1 << 16
 
 
 class RecordFormatError(ValueError):
@@ -65,8 +76,6 @@ class LabelRecord:
     image_h: int
     boxes: np.ndarray      # (B, 4) float64, center-form
     classes: np.ndarray    # (B,) int64
-    # slack absorbs float32 storage and mirror-arithmetic rounding
-    _BOUNDS_SLACK = 1e-3
 
     def __post_init__(self):
         self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
@@ -75,24 +84,7 @@ class LabelRecord:
             raise ValueError("boxes and classes must have equal length")
         if not 0 <= self.image_id <= _U64_MAX:
             raise ValueError(f"image_id {self.image_id} outside u64 range")
-        for name, v in (("image_w", self.image_w), ("image_h", self.image_h)):
-            if not 1 <= v <= _U16_MAX:
-                raise ValueError(f"{name} {v} outside [1, {_U16_MAX}]")
-        if len(self.boxes) > _U16_MAX:
-            raise ValueError("box count exceeds u16")
-        if self.classes.size and (self.classes.min() < 0 or self.classes.max() > _U16_MAX):
-            raise ValueError("class ids outside u16 range")
-        if not np.isfinite(self.boxes).all():
-            raise ValueError("non-finite box coordinates")
-        if self.boxes.size:
-            centers, sizes = self.boxes[:, :2], self.boxes[:, 2:]
-            if (sizes <= 0).any():
-                raise ValueError("non-positive box dimensions")
-            s = self._BOUNDS_SLACK
-            half = sizes / 2
-            if ((centers - half < -s).any()
-                    or (centers + half > (self.image_w + s, self.image_h + s)).any()):
-                raise ValueError("box extends outside image bounds")
+        _check_values(self.image_w, self.image_h, self.boxes, self.classes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelRecord):
@@ -102,6 +94,49 @@ class LabelRecord:
                 and self.image_h == other.image_h
                 and np.array_equal(self.boxes, other.boxes)
                 and np.array_equal(self.classes, other.classes))
+
+
+def _check_values(image_w, image_h, boxes, classes, counts=None):
+    """The checks of :class:`LabelRecord` after ``image_id``, in its order:
+    raise ValueError for the first that fails.
+
+    Checks one record, or, given per-record box ``counts``, a block of
+    records: then ``image_w`` and ``image_h`` are per-record arrays, and
+    ``boxes`` and ``classes`` hold the records' rows one after another. A
+    block fails exactly when one of its records would.
+    """
+    block = counts is not None
+    for name, v in (("image_w", image_w), ("image_h", image_h)):
+        lo, hi = (v.min(), v.max()) if block else (v, v)
+        if not (1 <= lo and hi <= _U16_MAX):
+            raise ValueError(f"{name} {v} outside [1, {_U16_MAX}]")
+    if (counts.max() if block else len(boxes)) > _U16_MAX:
+        raise ValueError("box count exceeds u16")
+    if classes.size and (classes.min() < 0 or classes.max() > _U16_MAX):
+        raise ValueError("class ids outside u16 range")
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite box coordinates")
+    if boxes.size:
+        centers, sizes = boxes[:, :2], boxes[:, 2:]
+        if (sizes <= 0).any():
+            raise ValueError("non-positive box dimensions")
+        s = _BOUNDS_SLACK
+        if block:  # each box against its own record's image
+            limits = np.repeat(np.stack([image_w, image_h], axis=1), counts, axis=0) + s
+        else:
+            limits = (image_w + s, image_h + s)
+        half = sizes / 2
+        if (centers - half < -s).any() or (centers + half > limits).any():
+            raise ValueError("box extends outside image bounds")
+
+
+def _unchecked_record(image_id, image_w, image_h, boxes, classes) -> LabelRecord:
+    """A LabelRecord of values that have passed its checks, built without
+    running them again."""
+    rec = object.__new__(LabelRecord)
+    rec.image_id, rec.image_w, rec.image_h = image_id, image_w, image_h
+    rec.boxes, rec.classes = boxes, classes
+    return rec
 
 
 @dataclass
@@ -173,11 +208,23 @@ def encode_batch(records: list[LabelRecord]) -> SparseLabelBatch:
 
 
 def decode_batch(batch: SparseLabelBatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Inverse of :func:`encode_batch`: per-image (boxes, classes) pairs."""
+    """Inverse of :func:`encode_batch`: per-image (boxes, classes) pairs.
+
+    The pairs are slices of one copy of the batch's arrays: no two images,
+    and no image and the batch, share any element.
+    """
     batch.validate()
     off = batch.offsets().tolist()
-    return [(batch.rois_values[lo:hi].copy(), batch.classes[lo:hi].copy())
-            for lo, hi in zip(off[:-1], off[1:])]
+    values, classes = batch.rois_values.copy(), batch.classes.copy()
+    return [(values[lo:hi], classes[lo:hi]) for lo, hi in zip(off[:-1], off[1:])]
+
+
+def _box_rows(counts: np.ndarray) -> np.ndarray:
+    """Which rows of a block are box rows: each record takes its header
+    row, then ``counts[i]`` box rows."""
+    mask = np.ones(len(counts) + int(counts.sum()), dtype=bool)
+    mask[np.cumsum(counts + 1) - (counts + 1)] = False
+    return mask
 
 
 def _pack_boxes(boxes, classes) -> bytes:
@@ -197,52 +244,162 @@ def _pack_boxes(boxes, classes) -> bytes:
     return arr.tobytes()
 
 
+def _in_range(a: np.ndarray, hi: int) -> bool:
+    """An integer array with every value in [0, hi]."""
+    return a.dtype.kind in "iu" and (not a.size or (a.min() >= 0 and a.max() <= hi))
+
+
+def _pack_block(recs) -> bytes | None:
+    """Records as ODR1 bytes, packed as one array of 18-byte rows, or None
+    if a value is one ODR1 cannot hold (or one this packing does not take)."""
+    try:
+        counts = np.array([len(rec.boxes) for rec in recs])
+        if [len(rec.classes) for rec in recs] != counts.tolist():
+            return None
+        ids = np.array([rec.image_id for rec in recs])
+        sizes = np.array([(rec.image_w, rec.image_h) for rec in recs])
+        classes = np.concatenate([rec.classes for rec in recs])
+        with np.errstate(over="raise"):  # a finite value beyond f32 range
+            boxes = np.concatenate([rec.boxes for rec in recs],
+                                   dtype=np.float32, casting="unsafe")
+    except (AttributeError, TypeError, ValueError, OverflowError, FloatingPointError):
+        return None
+    n, total = len(recs), int(counts.sum())
+    if not (ids.shape == (n,) and sizes.shape == (n, 2) and classes.shape == (total,)
+            and boxes.shape == (total, 4) and _in_range(ids, _U64_MAX)
+            and _in_range(sizes, _U16_MAX) and _in_range(counts, _U16_MAX)
+            and _in_range(classes, _U16_MAX)):
+        return None
+    head = np.empty(n, dtype=_HEAD_ROW)
+    head["len"] = _HEAD.size + _BOX.size * counts
+    head["id"], head["w"], head["h"], head["n"] = ids, sizes[:, 0], sizes[:, 1], counts
+    rows = np.empty(n + total, dtype=_BOX_DTYPE)
+    is_box = _box_rows(counts)
+    rows.view(_HEAD_ROW)[~is_box] = head
+    rows["b"][is_box] = boxes
+    rows["c"][is_box] = classes
+    return rows.tobytes()
+
+
+def _write_block(f, recs):
+    """Write records in one call, or one at a time when the block cannot
+    be packed whole, so that an error is raised at its own record with the
+    records before it written."""
+    if not recs:
+        return
+    data = _pack_block(recs)
+    if data is not None:
+        f.write(data)
+        return
+    for rec in recs:
+        payload = _HEAD.pack(rec.image_id, rec.image_w, rec.image_h, len(rec.boxes)) \
+            + _pack_boxes(rec.boxes, rec.classes)
+        f.write(_LEN.pack(len(payload)) + payload)
+
+
 def write_records(path, records) -> int:
-    """Write records to ``path`` in ODR1 format; returns the record count."""
+    """Write records to ``path`` in ODR1 format; returns the record count.
+
+    Records are packed by blocks of about 64 KiB. When a record holds a
+    value ODR1 cannot (after a field was reassigned past the constructor's
+    checks), or ``records`` raises, the records before it are written
+    before the error propagates.
+    """
     n = 0
     with open(path, "wb") as f:
         f.write(MAGIC)
-        for rec in records:
-            payload = _HEAD.pack(rec.image_id, rec.image_w, rec.image_h, len(rec.boxes)) \
-                + _pack_boxes(rec.boxes, rec.classes)
-            f.write(_LEN.pack(len(payload)) + payload)
-            n += 1
-    return n
+        block, rows = [], 0
+        try:
+            for rec in records:
+                rows += 1 + len(rec.boxes)
+                block.append(rec)
+                if rows * _BOX.size >= _BLOCK_BYTES:
+                    full, block, rows = block, [], 0
+                    _write_block(f, full)
+                    n += len(full)
+        finally:
+            _write_block(f, block)
+    return n + len(block)
+
+
+def _parse(f):
+    """Split the records after the magic, checking each one's framing.
+
+    Yields ``(image_id, image_w, image_h, num_boxes, raw)`` per record,
+    ``raw`` being its length field and payload.
+    """
+    offset = len(MAGIC)
+    while True:
+        head = f.read(_LEN.size)
+        if not head:
+            return
+        if len(head) < _LEN.size:
+            raise RecordCorruptionError("truncated record length", offset)
+        (plen,) = _LEN.unpack(head)
+        offset += _LEN.size
+        payload = f.read(plen)
+        if len(payload) < plen:
+            raise RecordCorruptionError("truncated record payload", offset)
+        if plen < _HEAD.size:
+            raise RecordCorruptionError("payload shorter than record header", offset)
+        image_id, image_w, image_h, nb = _HEAD.unpack_from(payload, 0)
+        if plen != _HEAD.size + nb * _BOX.size:
+            raise RecordCorruptionError(
+                f"payload length {plen} does not match {nb} boxes", offset)
+        offset += plen
+        yield image_id, image_w, image_h, nb, head + payload
+
+
+def _block_records(block):
+    """Records from a block of parsed ones, their values checked at once.
+
+    A block that fails the checks is built again through the public
+    constructor, one record at a time, which raises at its first bad record.
+    """
+    if not block:
+        return
+    ids, ws, hs, counts, raws = zip(*block)
+    n_boxes = np.array(counts)
+    rows = np.frombuffer(b"".join(raws), dtype=_BOX_DTYPE)[_box_rows(n_boxes)]
+    boxes, classes = rows["b"].astype(np.float64), rows["c"].astype(np.int64)
+    try:
+        _check_values(np.array(ws), np.array(hs), boxes, classes, n_boxes)
+        make = _unchecked_record
+    except ValueError:
+        make = LabelRecord
+    lo = 0
+    for image_id, image_w, image_h, n in zip(ids, ws, hs, counts):
+        yield make(image_id, image_w, image_h, boxes[lo:lo + n], classes[lo:lo + n])
+        lo += n
 
 
 def read_records(path):
-    """Yield records from an ODR1 file, one at a time.
+    """Yield records from an ODR1 file, in file order.
 
-    Raises :class:`RecordFormatError` on a bad magic and
+    Records are parsed and checked by blocks of about 64 KiB; the records
+    of one block share its box and class arrays. Raises
+    :class:`RecordFormatError` on a bad magic,
     :class:`RecordCorruptionError` (carrying the byte offset) on truncation
-    or an inconsistent payload length.
+    or an inconsistent payload length, and the constructor's ValueError on
+    a bad value; every record before the bad one is yielded first.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
             raise RecordFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        offset = 4
-        while True:
-            head = f.read(_LEN.size)
-            if not head:
-                return
-            if len(head) < _LEN.size:
-                raise RecordCorruptionError("truncated record length", offset)
-            (plen,) = _LEN.unpack(head)
-            offset += _LEN.size
-            payload = f.read(plen)
-            if len(payload) < plen:
-                raise RecordCorruptionError("truncated record payload", offset)
-            if plen < _HEAD.size:
-                raise RecordCorruptionError("payload shorter than record header", offset)
-            image_id, image_w, image_h, nb = _HEAD.unpack_from(payload, 0)
-            if plen != _HEAD.size + nb * _BOX.size:
-                raise RecordCorruptionError(
-                    f"payload length {plen} does not match {nb} boxes", offset)
-            arr = np.frombuffer(payload, dtype=_BOX_DTYPE, count=nb, offset=_HEAD.size)
-            offset += plen
-            yield LabelRecord(image_id, image_w, image_h,
-                              arr["b"].astype(np.float64), arr["c"].astype(np.int64))
+        block, size, error = [], 0, None
+        try:
+            for parsed in _parse(f):
+                block.append(parsed)
+                size += len(parsed[-1])
+                if size >= _BLOCK_BYTES:
+                    yield from _block_records(block)
+                    block, size = [], 0
+        except RecordCorruptionError as e:
+            error = e
+        yield from _block_records(block)
+        if error is not None:
+            raise error
 
 
 def gen_synthetic(seed: int, n_images: int, max_boxes: int, image_w: int, image_h: int,

@@ -208,3 +208,40 @@ def struct_write_records(path, records) -> int:
             f.write(payload)
             n += 1
     return n
+
+
+def per_record_read_records(path):
+    """ODR1 reader that parses one record at a time and checks it through
+    the public ``LabelRecord`` constructor: yields every record before the
+    first bad one, then raises at it."""
+    from odkit import LabelRecord, RecordCorruptionError, RecordFormatError
+
+    head, length = struct.Struct("<QHHH"), struct.Struct("<I")
+    with open(path, "rb") as f:
+        magic = f.read(4)
+        if magic != b"ODR1":
+            raise RecordFormatError(f"bad magic {magic!r}, expected {b'ODR1'!r}")
+        offset = 4
+        while True:
+            raw = f.read(length.size)
+            if not raw:
+                return
+            if len(raw) < length.size:
+                raise RecordCorruptionError("truncated record length", offset)
+            (plen,) = length.unpack(raw)
+            offset += length.size
+            payload = f.read(plen)
+            if len(payload) < plen:
+                raise RecordCorruptionError("truncated record payload", offset)
+            if plen < head.size:
+                raise RecordCorruptionError("payload shorter than record header", offset)
+            image_id, image_w, image_h, nb = head.unpack_from(payload, 0)
+            if plen != head.size + nb * 18:
+                raise RecordCorruptionError(
+                    f"payload length {plen} does not match {nb} boxes", offset)
+            boxes = [struct.unpack_from("<ffffH", payload, head.size + 18 * k)
+                     for k in range(nb)]
+            offset += plen
+            yield LabelRecord(image_id, image_w, image_h,
+                              np.array([b[:4] for b in boxes], np.float64).reshape(-1, 4),
+                              np.array([b[4] for b in boxes], np.int64))

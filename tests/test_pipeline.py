@@ -269,6 +269,26 @@ class TestFailingStage:
                                          on_batch=self._raise_at(3, exc))
         assert outcome.get("error") is exc
 
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    def test_error_notes_batches_completed(self, prefetch):
+        exc = KeyError("sink failed")
+        outcome = self._run_with_timeout(self._cfg(prefetch), on_batch=self._raise_at(3, exc))
+        assert outcome.get("error") is exc
+        assert exc.__notes__ == ["run_pipeline: 3 of 12 batches completed"]
+        assert str(exc) == "'sink failed'"
+
+    @pytest.mark.parametrize("prefetch", [0, 1, 2])
+    def test_stage_error_notes_batches_completed(self, prefetch):
+        exc = RuntimeError("stage b failed")
+        seen = []
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers={"b": self._raise_at(3, exc)},
+                                         on_batch=lambda p: seen.append(p["index"]))
+        assert outcome.get("error") is exc
+        assert exc.__notes__ == [f"run_pipeline: {len(seen)} of 12 batches completed"]
+        assert str(exc) == "stage b failed"
+        if prefetch == 0:
+            assert seen == [0, 1, 2]
+
     @pytest.mark.parametrize("prefetch", [1, 2])
     def test_first_error_wins_when_every_batch_fails(self, prefetch):
         def fail(payload):

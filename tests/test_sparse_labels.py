@@ -1,4 +1,8 @@
+import copy
+import functools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from odkit import (
     write_records,
 )
 from odkit.geometry import InvalidBoxError, InvalidSpecError
-from oracles import struct_write_records
+from odkit.sparse_labels import _BLOCK_BYTES
+from oracles import per_record_read_records, struct_write_records
 
 
 def _rec(image_id, boxes, classes, w=256, h=256):
@@ -186,6 +191,19 @@ class TestBatchCoding:
         with pytest.raises(InvalidBoxError):
             decode_batch(batch)
 
+    def test_decoded_images_own_their_rows(self):
+        recs = [_rec(0, [(10, 10, 4, 4), (30, 30, 8, 8)], [0, 1]),
+                _rec(1, [(50, 50, 6, 6)], [2]), _rec(2, [(20, 20, 2, 2)], [1])]
+        batch = encode_batch(recs)
+        values, classes = batch.rois_values.copy(), batch.classes.copy()
+        decoded = decode_batch(batch)
+        decoded[1][0][:] = -1.0
+        decoded[1][1][:] = 7
+        assert np.array_equal(batch.rois_values, values)
+        assert np.array_equal(batch.classes, classes)
+        for rec, (boxes, cls) in zip([recs[0], recs[2]], [decoded[0], decoded[2]]):
+            assert np.array_equal(boxes, rec.boxes) and np.array_equal(cls, rec.classes)
+
     @given(st.lists(records(), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, recs):
@@ -310,6 +328,179 @@ class TestPackedRecords:
         path.write_bytes(b"ODR1" + struct.pack("<I", len(payload)) + payload)
         with pytest.raises(ValueError, match="non-finite box coordinates"):
             list(read_records(path))
+
+
+# records sized to fill two to three read and write blocks
+BLOCK_SEEDS = range(3)
+BLOCK_IMAGES = 2400
+
+
+@functools.lru_cache(maxsize=None)
+def _block_records(seed):
+    recs = gen_synthetic(seed=seed, n_images=BLOCK_IMAGES, max_boxes=6, image_w=64, image_h=48)
+    with tempfile.TemporaryDirectory() as d:
+        struct_write_records(Path(d) / "s.odr", recs)
+        data = (Path(d) / "s.odr").read_bytes()
+    return tuple(recs), data
+
+
+def _block_edges(recs):
+    """The first and last record of each block: a block closes after the
+    record that brings its rows (a header row per record, plus its box
+    rows, 18 bytes each) to at least ``_BLOCK_BYTES`` bytes."""
+    edges, first, size = set(), 0, 0
+    for i, rec in enumerate(recs):
+        size += 18 * (1 + len(rec.boxes))
+        if size >= _BLOCK_BYTES:
+            edges |= {first, i}
+            first, size = i + 1, 0
+    return sorted(edges | {first, len(recs) - 1})
+
+
+def _read_outcome(read, path):
+    """Records yielded, then the error raised (type, message, offset)."""
+    got = []
+    try:
+        for rec in read(path):
+            got.append(rec)
+    except ValueError as e:
+        return got, (type(e), str(e), getattr(e, "offset", None))
+    return got, None
+
+
+def _spoil(data, recs, k, kind):
+    """File bytes with record ``k`` made bad in the way ``kind`` names."""
+    buf = bytearray(data)
+    at = 4 + sum(18 * (1 + len(rec.boxes)) for rec in recs[:k])  # its length field
+    plen = 14 + 18 * len(recs[k].boxes)
+    if kind in ("nan", "zero size", "out of bounds") and len(recs[k].boxes):
+        field, value = {"nan": (0, float("nan")), "zero size": (2, 0.0),
+                        "out of bounds": (0, 64 + 40.0)}[kind]
+        struct.pack_into("<f", buf, at + 18 + 4 * field, value)
+    elif kind in ("nan", "zero size", "out of bounds", "image_w = 0"):
+        struct.pack_into("<H", buf, at + 12, 0)
+    elif kind == "long length":
+        struct.pack_into("<I", buf, at, plen + 1)
+    elif kind == "short length":
+        struct.pack_into("<I", buf, at, 3)
+    elif kind == "truncated length":
+        del buf[at + 2:]
+    else:  # truncated payload
+        del buf[at + 4 + plen // 2:]
+    return bytes(buf)
+
+
+BAD_READS = ["nan", "zero size", "out of bounds", "image_w = 0", "long length",
+             "short length", "truncated length", "truncated payload"]
+
+
+class TestBlockReads:
+    """Block reads against the per-record reader."""
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_clean_file(self, tmp_path, seed):
+        recs, data = _block_records(seed)
+        path = tmp_path / "c.odr"
+        path.write_bytes(data)
+        assert len(_block_edges(recs)) >= 4  # two blocks at least
+        back = list(read_records(path))
+        assert back == list(recs) == list(per_record_read_records(path))
+        assert all(type(r.image_id) is int and type(r.image_w) is int for r in back)
+        assert all(r.boxes.dtype == np.float64 and r.boxes.shape == (len(r.classes), 4)
+                   and r.classes.dtype == np.int64 for r in back)
+
+    @given(seed=st.sampled_from(BLOCK_SEEDS), kind=st.sampled_from(BAD_READS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_record(self, tmp_path_factory, seed, kind, data):
+        recs, clean = _block_records(seed)
+        k = data.draw(st.one_of(st.sampled_from(_block_edges(recs)),
+                                st.integers(0, len(recs) - 1)), label="bad record")
+        path = tmp_path_factory.mktemp("odr") / "b.odr"
+        path.write_bytes(_spoil(clean, recs, k, kind))
+        got, error = _read_outcome(read_records, path)
+        want, want_error = _read_outcome(per_record_read_records, path)
+        assert want_error is not None and len(want) == k
+        assert error == want_error
+        assert got == want
+
+    def test_records_own_their_rows(self, tmp_path):
+        recs, data = _block_records(0)
+        path = tmp_path / "o.odr"
+        path.write_bytes(data)
+        back = list(read_records(path))
+        k = next(i for i in range(1, len(back) - 1) if len(back[i].boxes))
+        back[k].boxes[:] = -1.0
+        back[k].classes[:] = 99
+        assert back[k - 1] == recs[k - 1] and back[k + 1] == recs[k + 1]
+        assert back[:k] + back[k + 1:] == list(recs[:k] + recs[k + 1:])
+
+
+def _reassign(rec, kind):
+    """A copy of ``rec`` with a field reassigned to a value ODR1 cannot
+    hold, past the constructor's checks."""
+    rec = copy.copy(rec)
+    if kind in ("class 70000", "class -1", "box 1e39") and not len(rec.boxes):
+        kind = "image_w 70000"
+    if kind == "class 70000":
+        rec.classes = np.where(np.arange(len(rec.classes)) == 0, 70000, rec.classes)
+    elif kind == "class -1":
+        rec.classes = np.where(np.arange(len(rec.classes)) == 0, -1, rec.classes)
+    elif kind == "box 1e39":
+        rec.boxes = rec.boxes.copy()
+        rec.boxes[0, 2] = 1e39
+    elif kind == "image_w 70000":
+        rec.image_w = 70000
+    elif kind == "image_id -1":
+        rec.image_id = -1
+    elif kind == "image_id 2**64":
+        rec.image_id = 2**64
+    else:  # mismatched lengths
+        rec.classes = np.append(rec.classes, 1)
+    return rec
+
+
+BAD_WRITES = ["class 70000", "class -1", "box 1e39", "image_w 70000", "image_id -1",
+              "image_id 2**64", "mismatched lengths"]
+
+
+class TestBlockWrites:
+    """Block writes against the struct writer."""
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_bytes_match_struct_writer(self, tmp_path, seed):
+        recs, data = _block_records(seed)
+        assert write_records(tmp_path / "a.odr", iter(recs)) == len(recs)
+        assert (tmp_path / "a.odr").read_bytes() == data
+
+    @given(seed=st.sampled_from(BLOCK_SEEDS), kind=st.sampled_from(BAD_WRITES), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unpackable_record(self, tmp_path_factory, seed, kind, data):
+        recs, _ = _block_records(seed)
+        k = data.draw(st.sampled_from(_block_edges(recs)), label="bad record")
+        recs = list(recs)
+        recs[k] = _reassign(recs[k], kind)
+        d = tmp_path_factory.mktemp("odr")
+        error = _error(lambda: write_records(d / "a.odr", recs))
+        if kind == "mismatched lengths":
+            # the struct writer writes a payload shorter than its header's count
+            struct_write_records(d / "b.odr", recs[:k])
+            want = (ValueError, "boxes and classes must have equal length")
+        else:
+            want = _error(lambda: struct_write_records(d / "b.odr", recs))
+        assert want is not None and error == want
+        assert (d / "a.odr").read_bytes() == (d / "b.odr").read_bytes()
+
+    def test_failing_source_keeps_records_before(self, tmp_path):
+        recs, _ = _block_records(1)
+        k = _block_edges(recs)[2]
+
+        def source():
+            yield from recs[:k]
+            raise KeyError("source failed")
+        with pytest.raises(KeyError):
+            write_records(tmp_path / "a.odr", source())
+        struct_write_records(tmp_path / "b.odr", recs[:k])
+        assert (tmp_path / "a.odr").read_bytes() == (tmp_path / "b.odr").read_bytes()
 
 
 class TestGenSynthetic:
