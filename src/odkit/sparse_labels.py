@@ -228,20 +228,12 @@ def _box_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def _pack_boxes(boxes, classes) -> bytes:
-    """A record's boxes as ODR1 bytes, 18 per box."""
-    if len(classes) != len(boxes):  # numpy would broadcast a single class
+    """A record's boxes as ODR1 bytes, 18 per box, packed one at a time:
+    struct raises on a value ODR1 cannot hold."""
+    if len(classes) != len(boxes):  # zip would drop the extra ones
         raise ValueError("boxes and classes must have equal length")
-    arr = np.empty(len(boxes), dtype=_BOX_DTYPE)
-    try:
-        with np.errstate(over="raise"):  # a finite value beyond f32 range
-            arr["b"] = boxes
-        arr["c"] = np.asarray(classes).tolist()  # Python ints outside u16 raise; int64s would wrap
-    except (FloatingPointError, OverflowError):
-        # a value ODR1 cannot hold, possible only in a field reassigned
-        # after construction: struct raises on it, as it always has
-        return b"".join(_BOX.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
-                        for b, c in zip(boxes, classes))
-    return arr.tobytes()
+    return b"".join(_BOX.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
+                    for b, c in zip(boxes, classes))
 
 
 def _in_range(a: np.ndarray, hi: int) -> bool:
@@ -381,7 +373,8 @@ def read_records(path):
     :class:`RecordFormatError` on a bad magic,
     :class:`RecordCorruptionError` (carrying the byte offset) on truncation
     or an inconsistent payload length, and the constructor's ValueError on
-    a bad value; every record before the bad one is yielded first.
+    a bad value; every record before the bad one, or before a failed read,
+    is yielded first.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -393,9 +386,9 @@ def read_records(path):
                 block.append(parsed)
                 size += len(parsed[-1])
                 if size >= _BLOCK_BYTES:
-                    yield from _block_records(block)
-                    block, size = [], 0
-        except RecordCorruptionError as e:
+                    full, block, size = block, [], 0
+                    yield from _block_records(full)
+        except Exception as e:  # raised after the records parsed before it, if any are pending
             error = e
         yield from _block_records(block)
         if error is not None:

@@ -22,6 +22,8 @@ from odkit import (
     read_records,
     write_records,
 )
+import odkit.sparse_labels
+import oracles
 from odkit.geometry import InvalidBoxError, InvalidSpecError
 from odkit.sparse_labels import _BLOCK_BYTES
 from oracles import per_record_read_records, struct_write_records
@@ -433,6 +435,45 @@ class TestBlockReads:
         back[k].classes[:] = 99
         assert back[k - 1] == recs[k - 1] and back[k + 1] == recs[k + 1]
         assert back[:k] + back[k + 1:] == list(recs[:k] + recs[k + 1:])
+
+
+class _FailingReader:
+    """A binary file whose reads fail once they would pass byte ``stop``."""
+
+    def __init__(self, path, stop):
+        self._f, self._stop = open(path, "rb"), stop
+
+    def read(self, n):
+        if self._f.tell() + n > self._stop:
+            raise OSError("read failed")
+        return self._f.read(n)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_failed_read_keeps_records_before(tmp_path, monkeypatch, where):
+    recs, data = _block_records(2)
+    path = tmp_path / "r.odr"
+    path.write_bytes(data)
+    edges = _block_edges(recs)  # a block's first record, its last, the next's first, ...
+    k = {"first": edges[2], "middle": edges[2] + 5, "last": edges[3]}[where]
+    stop = 4 + sum(18 * (1 + len(rec.boxes)) for rec in recs[:k]) + 9  # inside record k
+    for module in (odkit.sparse_labels, oracles):
+        monkeypatch.setattr(module, "open", lambda p, mode: _FailingReader(p, stop),
+                            raising=False)
+    outcomes = []
+    for read in (read_records, per_record_read_records):
+        got = []
+        with pytest.raises(OSError, match="read failed"):
+            for rec in read(path):
+                got.append(rec)
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1] == list(recs[:k])
 
 
 def _reassign(rec, kind):
