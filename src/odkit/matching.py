@@ -175,7 +175,35 @@ def _run_chunked(n: int, fn) -> None:
 
 
 def _per_image_boxes(batch) -> list[np.ndarray]:
-    return [as_box_array(img) if len(img) else np.empty((0, 4)) for img in batch]
+    return [as_box_array(img) for img in batch]
+
+
+def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's anchor preference as one (N, A) key, lowest first, ties
+    toward the lower index; and each box's count of overlapping anchors.
+
+    Overlapping anchors key as -iou in [-1, 0), the rest as their
+    Euclidean distance, >= 0. IOUs are compared directly, not as 1-IOU,
+    which rounds distinct small IOUs to one float and ties them. Distances
+    that overflow are capped at the largest float, so no key is +inf, the
+    mark of a taken anchor; finite distances are below sqrt of that cap.
+    """
+    iou = iou_matrix(boxes, anchor_arr)
+    edist = euclidean_distance_matrix(boxes, anchor_arr)
+    np.minimum(edist, np.finfo(np.float64).max, out=edist)
+    pos = iou > 0.0
+    return np.where(pos, -iou, edist), np.count_nonzero(pos, axis=1)
+
+
+def _take_cheapest(key: np.ndarray, order) -> np.ndarray:
+    """Each row in ``order`` takes its cheapest column (the first on ties),
+    which is then struck out as +inf. Overwrites ``key``."""
+    chosen = np.empty(len(key), dtype=np.int64)
+    for g in order:
+        a = int(np.argmin(key[g]))
+        chosen[g] = a
+        key[:, a] = np.inf
+    return chosen
 
 
 def match_serial(anchors, batch) -> MatchAssignment:
@@ -184,43 +212,25 @@ def match_serial(anchors, batch) -> MatchAssignment:
     Per image, boxes are visited in input order; each takes the unused
     anchor with the largest IOU when some unused anchor overlaps it,
     otherwise the unused anchor with the smallest 4-vector Euclidean
-    distance. Ties break toward the lower anchor index. IOUs are compared
-    directly, not as 1-IOU: for small IOUs, 1-IOU rounds distinct values
-    to one float and would turn them into index ties.
+    distance. Ties break toward the lower anchor index. The order is the
+    one ``build_rankings`` sorts by (see ``_rank_key``).
     """
     anchor_arr = as_box_array(anchors)
-    n_anchors = len(anchor_arr)
-    out = []
-    for idx, boxes in enumerate(_per_image_boxes(batch)):
-        nb = len(boxes)
-        if nb > n_anchors:
-            raise CapacityError(idx, nb, n_anchors)
-        if nb == 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        iou = iou_matrix(boxes, anchor_arr)
-        edist = euclidean_distance_matrix(boxes, anchor_arr)
-        used = np.zeros(n_anchors, dtype=bool)
-        chosen = np.empty(nb, dtype=np.int64)
-        for g in range(nb):
-            v = np.where(used, -1.0, iou[g])
-            if v.max() > 0.0:
-                a = int(np.argmax(v))  # argmax takes the first maximum
-            else:
-                a = int(np.argmin(np.where(used, np.inf, edist[g])))
-            chosen[g] = a
-            used[a] = True
-        out.append(chosen)
-    return MatchAssignment(out)
+    per_image = _per_image_boxes(batch)
+    for idx, boxes in enumerate(per_image):
+        if len(boxes) > len(anchor_arr):
+            raise CapacityError(idx, len(boxes), len(anchor_arr))
+    return MatchAssignment([_take_cheapest(_rank_key(boxes, anchor_arr)[0], range(len(boxes)))
+                            for boxes in per_image])
 
 
 def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     """Traversal-order matcher over a raw cost matrix (one image).
 
-    Rows are visited in ``traversal`` order (default: input order); each
-    row takes its cheapest unused column. With no geometry there is no
-    Euclidean fallback; the rule is minimum unused cost, ties toward the
-    lower column index.
+    Rows are visited in ``traversal`` order (default: input order), a
+    permutation of the row indices; each row takes its cheapest unused
+    column. With no geometry there is no Euclidean fallback; the rule is
+    minimum unused cost, ties toward the lower column index.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -230,16 +240,10 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     nb, na = c.shape
     if nb > na:
         raise CapacityError(0, nb, na)
-    order = list(range(nb)) if traversal is None else [int(t) for t in traversal]
-    if sorted(order) != list(range(nb)):
+    order = list(range(nb)) if traversal is None else list(traversal)
+    if sorted(order) != list(range(nb)):  # compared as given: 0.9 is not 0
         raise InvalidSpecError(f"traversal must be a permutation of rows, got {order}")
-    used = np.zeros(na, dtype=bool)
-    chosen = np.empty(nb, dtype=np.int64)
-    for g in order:
-        a = int(np.argmin(np.where(used, np.inf, c[g])))
-        chosen[g] = a
-        used[a] = True
-    return MatchAssignment([chosen])
+    return MatchAssignment([_take_cheapest(c.copy(), [int(t) for t in order])])
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
@@ -247,7 +251,8 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
 
     Each row is a permutation of all anchors: the positive-IOU anchors by
     descending IOU, then the IOU-0 anchors by ascending Euclidean
-    distance, ties toward the lower index (one stable sort per chunk).
+    distance, ties toward the lower index (one stable sort of
+    ``_rank_key`` per chunk, the order ``match_serial`` takes anchors in).
     Rows are mutually independent, so the result is identical regardless
     of evaluation order or thread count.
     """
@@ -262,13 +267,8 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     crossover = np.empty(n, dtype=np.int64)
 
     def work(lo: int, hi: int) -> None:
-        iou = iou_matrix(boxes[lo:hi], anchor_arr)
-        edist = euclidean_distance_matrix(boxes[lo:hi], anchor_arr)
-        pos = iou > 0.0
-        crossover[lo:hi] = np.count_nonzero(pos, axis=1)
-        # overlapping anchors key as -iou in [-1, 0), the rest as their
-        # distance, >= 0, so one stable sort puts the IOU part first
-        dist_ids[lo:hi] = np.argsort(np.where(pos, -iou, edist), axis=1, kind="stable")
+        key, crossover[lo:hi] = _rank_key(boxes[lo:hi], anchor_arr)
+        dist_ids[lo:hi] = np.argsort(key, axis=1, kind="stable")
 
     _run_chunked(n, work)
     return DistanceRanking(dist_ids, crossover)
@@ -366,9 +366,6 @@ def match_greedy_bipartite(cost) -> MatchAssignment:
         nb, na = c.shape
         if nb > na:
             raise CapacityError(idx, nb, na)
-        if nb == 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
         # the flat index is box-major, so a stable sort of the costs
         # orders edges by (cost, box, anchor)
         order = np.argsort(c, axis=None, kind="stable")
@@ -493,9 +490,7 @@ def match_exact(cost) -> MatchAssignment:
 def cost_matrices(anchors, batch) -> list[np.ndarray]:
     """Per-image 1-IOU weight matrices for a geometric instance."""
     anchor_arr = as_box_array(anchors)
-    return [matching_distance_matrix(boxes, anchor_arr) if len(boxes) else
-            np.empty((0, len(anchor_arr)))
-            for boxes in _per_image_boxes(batch)]
+    return [matching_distance_matrix(boxes, anchor_arr) for boxes in _per_image_boxes(batch)]
 
 
 def total_weight(a: MatchAssignment, cost) -> float:
@@ -512,6 +507,17 @@ def total_weight(a: MatchAssignment, cost) -> float:
     return total
 
 
+def _paired_anchors(a: MatchAssignment, anchor_arr, rows, what: str) -> list[np.ndarray]:
+    """Per image, the anchor assigned to each of its rows; raises
+    ``MatchInconsistencyError`` unless ``a`` has one id per row."""
+    if a.n_images != len(rows):
+        raise MatchInconsistencyError(f"assignment covers {a.n_images} images, {what} {len(rows)}")
+    for i, (ids, r) in enumerate(zip(a.anchor_ids, rows)):
+        if len(ids) != len(r):
+            raise MatchInconsistencyError(f"image {i}: {len(ids)} assignments for {len(r)} {what}")
+    return [anchor_arr[ids] for ids in a.anchor_ids]
+
+
 def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
     """Per-pair regression targets.
 
@@ -521,19 +527,14 @@ def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
     element-wise arithmetic; evaluation order is irrelevant.
     """
     anchor_arr = as_box_array(anchors)
+    per_image = _per_image_boxes(batch)
     out = []
-    for i, boxes in enumerate(_per_image_boxes(batch)):
-        ids = a.anchor_ids[i]
-        if len(ids) != len(boxes):
-            raise MatchInconsistencyError(
-                f"image {i}: {len(ids)} assignments for {len(boxes)} boxes")
-        anc = anchor_arr[ids]
+    for boxes, anc in zip(per_image, _paired_anchors(a, anchor_arr, per_image, "boxes")):
         d = np.empty((len(boxes), 4), dtype=np.float64)
-        if len(boxes):
-            d[:, 0] = (boxes[:, 0] - anc[:, 0]) / anc[:, 2]
-            d[:, 1] = (boxes[:, 1] - anc[:, 1]) / anc[:, 3]
-            d[:, 2] = np.log(boxes[:, 2] / anc[:, 2])
-            d[:, 3] = np.log(boxes[:, 3] / anc[:, 3])
+        d[:, 0] = (boxes[:, 0] - anc[:, 0]) / anc[:, 2]
+        d[:, 1] = (boxes[:, 1] - anc[:, 1]) / anc[:, 3]
+        d[:, 2] = np.log(boxes[:, 2] / anc[:, 2])
+        d[:, 3] = np.log(boxes[:, 3] / anc[:, 3])
         out.append(d)
     return out
 
@@ -541,16 +542,13 @@ def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
 def decode_deltas(a: MatchAssignment, anchors, deltas) -> list[np.ndarray]:
     """Invert :func:`compute_deltas`: recover center-form boxes."""
     anchor_arr = as_box_array(anchors)
+    per_image = [np.asarray(d, dtype=np.float64).reshape(-1, 4) for d in deltas]
     out = []
-    for i, d in enumerate(deltas):
-        d = np.asarray(d, dtype=np.float64).reshape(-1, 4)
-        ids = a.anchor_ids[i]
-        anc = anchor_arr[ids]
+    for d, anc in zip(per_image, _paired_anchors(a, anchor_arr, per_image, "delta rows")):
         b = np.empty_like(d)
-        if len(d):
-            b[:, 0] = anc[:, 0] + d[:, 0] * anc[:, 2]
-            b[:, 1] = anc[:, 1] + d[:, 1] * anc[:, 3]
-            b[:, 2] = anc[:, 2] * np.exp(d[:, 2])
-            b[:, 3] = anc[:, 3] * np.exp(d[:, 3])
+        b[:, 0] = anc[:, 0] + d[:, 0] * anc[:, 2]
+        b[:, 1] = anc[:, 1] + d[:, 1] * anc[:, 3]
+        b[:, 2] = anc[:, 2] * np.exp(d[:, 2])
+        b[:, 3] = anc[:, 3] * np.exp(d[:, 3])
         out.append(b)
     return out

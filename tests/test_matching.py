@@ -160,6 +160,42 @@ def _seed_match_parallel(anchors, rois, mode):
     return out
 
 
+def _seed_match_serial(anchors, batch):
+    """match_serial before its anchor order came from the key build_rankings
+    sorts by: an argmax over the unused IOUs when one is positive, else an
+    argmin over the unused Euclidean distances. Frozen here as the
+    reference the shared key must reproduce wherever no distance overflows."""
+    out = []
+    for boxes in batch:
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        iou = iou_matrix(boxes, anchors)
+        edist = euclidean_distance_matrix(boxes, anchors)
+        used = np.zeros(len(anchors), dtype=bool)
+        chosen = np.empty(len(boxes), dtype=np.int64)
+        for g in range(len(boxes)):
+            v = np.where(used, -1.0, iou[g])
+            if v.max() > 0.0:
+                a = int(np.argmax(v))
+            else:
+                a = int(np.argmin(np.where(used, np.inf, edist[g])))
+            chosen[g] = a
+            used[a] = True
+        out.append(chosen)
+    return MatchAssignment(out)
+
+
+def _seed_match_serial_cost(c, order):
+    """match_serial_cost's selection loop before it shared one with
+    match_serial, frozen as its reference."""
+    used = np.zeros(c.shape[1], dtype=bool)
+    chosen = np.empty(len(c), dtype=np.int64)
+    for g in order:
+        a = int(np.argmin(np.where(used, np.inf, c[g])))
+        chosen[g] = a
+        used[a] = True
+    return MatchAssignment([chosen])
+
+
 # three anchors on a row; box 0 sits on anchor 0, box 1 on anchor 1, and
 # box 2 overlaps only anchor 0 (already taken), exposing the dedup modes
 CE_ANCHORS = np.array([[10, 10, 8, 8], [30, 10, 8, 8], [50, 10, 8, 8]], float)
@@ -244,6 +280,65 @@ class TestMatchSerial:
         got = match_serial(anchors, batch)
         for boxes, ids in zip(batch, got.anchor_ids):
             assert list(ids) == serial_match_reference(anchors, boxes)
+
+
+class TestOneRankKey:
+    """match_serial takes anchors in the order build_rankings sorts them by,
+    and match_serial_cost shares its selection loop."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_stay_injective(self):
+        # every box-anchor distance overflows to inf: the anchors tie, and
+        # the second box must still skip the anchor the first one took
+        anchors = np.array([[10.0, 10, 4, 4], [30.0, 10, 4, 4]])
+        batch = [np.array([[1e160, 1e160, 1, 1]] * 2)]
+        sparse = to_sparse(batch)
+        assert np.all(np.isinf(euclidean_distance_matrix(batch[0], anchors)))
+        serial = match_serial(anchors, batch)
+        ranking = build_rankings(anchors, sparse)
+        assert serial.anchor_ids[0].tolist() == [0, 1]
+        assert serial == match_parallel(ranking, sparse)
+        assert ranking.dist_ids.tolist() == [[0, 1], [0, 1]]
+        assert ranking.crossover.tolist() == [0, 0]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_serial_equals_seed(self, seed):
+        anchors, batch = any_instance(seed)
+        assert match_serial(anchors, batch) == _seed_match_serial(anchors, batch)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_serial_cost_equals_seed(self, seed):
+        # tie-heavy entries from {0, 0.5, 1} on even seeds, random ones
+        # with negatives on odd seeds; 0 to na rows in a random order
+        rng = np.random.default_rng(seed)
+        na = int(rng.integers(1, 10))
+        nb = int(rng.integers(0, na + 1))
+        if seed % 2:
+            c = rng.uniform(-2, 1, (nb, na))
+        else:
+            c = rng.choice([0.0, 0.5, 1.0], (nb, na))
+        order = rng.permutation(nb)
+        traversal = [None, order, order.tolist()][seed % 3]
+        want = _seed_match_serial_cost(c, range(nb) if traversal is None else order)
+        assert match_serial_cost(c, traversal) == want
+
+    def test_serial_cost_leaves_cost_unchanged(self):
+        c = np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        before = c.copy()
+        match_serial_cost(c, [1, 0])
+        assert np.array_equal(c, before)
+
+    @pytest.mark.parametrize("traversal", [[0.9, 1.7], [1.5, 0], [np.nan, 0], ["1", "0"]])
+    def test_non_integral_traversal_rejected(self, traversal):
+        with pytest.raises(InvalidSpecError, match="traversal"):
+            match_serial_cost(COST_2X2, traversal=traversal)
+
+    @pytest.mark.parametrize("traversal", [[1, 0], np.array([1, 0]),
+                                           np.array([1, 0], dtype=np.int32), (1.0, 0.0)])
+    def test_integral_traversal_accepted(self, traversal):
+        assert match_serial_cost(COST_2X2, traversal).anchor_ids[0].tolist() == [1, 0]
 
 
 class TestBuildRankings:
@@ -783,6 +878,33 @@ class TestDeltas:
         a = MatchAssignment([np.array([0])])
         with pytest.raises(InvalidBoxError):
             compute_deltas(a, anchors, [np.array([[10.0, 10, 0, 5]])])
+
+    @pytest.mark.parametrize("ids, rows", [([1], 3), ([0, 1], 1)])
+    def test_decode_rows_must_match_assignment(self, ids, rows):
+        # one id for three rows used to broadcast; two ids for one row raised
+        # a bare numpy shape error
+        with pytest.raises(MatchInconsistencyError,
+                           match=f"image 1: {len(ids)} assignments for {rows} delta rows"):
+            decode_deltas(MatchAssignment([[2], ids]), CE_ANCHORS,
+                          [np.zeros((1, 4)), np.zeros((rows, 4))])
+
+    @pytest.mark.parametrize("n_assigned", [1, 3])
+    def test_image_count_must_match_assignment(self, n_assigned):
+        batch = [CE_ANCHORS[:1], CE_ANCHORS[1:2]]
+        a = MatchAssignment([[0]] * n_assigned)
+        with pytest.raises(MatchInconsistencyError, match=f"covers {n_assigned} images"):
+            compute_deltas(a, CE_ANCHORS, batch)
+        with pytest.raises(MatchInconsistencyError, match=f"covers {n_assigned} images"):
+            decode_deltas(a, CE_ANCHORS, [np.zeros((1, 4))] * 2)
+
+    def test_empty_images_round_trip(self):
+        batch = [np.empty((0, 4)), CE_BOXES, []]
+        a = match_serial(CE_ANCHORS, batch)
+        d = compute_deltas(a, CE_ANCHORS, batch)
+        assert [x.shape for x in d] == [(0, 4), (3, 4), (0, 4)]
+        back = decode_deltas(a, CE_ANCHORS, d)
+        assert [x.shape for x in back] == [(0, 4), (3, 4), (0, 4)]
+        assert np.allclose(back[1], CE_BOXES)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
