@@ -7,6 +7,7 @@ in this package's interfaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,21 +75,38 @@ def iou(a, b) -> float:
 
 
 def iou_matrix(a, b) -> np.ndarray:
-    """Pairwise IOU between boxes ``a`` (N, 4) and ``b`` (M, 4)."""
+    """Pairwise IOU between boxes ``a`` (N, 4) and ``b`` (M, 4).
+
+    Raises :class:`InvalidBoxError` when a box corner, or the largest area
+    of ``a`` plus the largest area of ``b``, overflows float64: the union
+    would be ``inf - inf`` and the IOU NaN. The check reads only the
+    corner and area vectors, so finite results are unchanged by it. The
+    (N, M) work runs in three buffers, one of which is returned.
+    """
     a = as_box_array(a)
     b = as_box_array(b)
-    ax1, ay1 = a[:, 0] - a[:, 2] / 2, a[:, 1] - a[:, 3] / 2
-    ax2, ay2 = a[:, 0] + a[:, 2] / 2, a[:, 1] + a[:, 3] / 2
-    bx1, by1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
-    bx2, by2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
+    with np.errstate(over="ignore"):  # an overflow here raises below
+        half_a, half_b = a[:, 2:] / 2, b[:, 2:] / 2
+        lo_a, hi_a = a[:, :2] - half_a, a[:, :2] + half_a
+        lo_b, hi_b = b[:, :2] - half_b, b[:, :2] + half_b
+        area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+        # a corner at +-inf makes its side's span inf
+        if len(a) and len(b) and not (math.isfinite(area_a.max() + area_b.max())
+                                      and np.isfinite(hi_a - lo_a).all()
+                                      and np.isfinite(hi_b - lo_b).all()):
+            raise InvalidBoxError("box corners or areas overflow float64")
 
-    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
-    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-
-    area_a = (a[:, 2] * a[:, 3])[:, None]
-    area_b = (b[:, 2] * b[:, 3])[None, :]
-    return inter / (area_a + area_b - inter)
+    iw = np.minimum(hi_a[:, 0, None], hi_b[None, :, 0])
+    tmp = np.maximum(lo_a[:, 0, None], lo_b[None, :, 0])
+    iw -= tmp
+    ih = np.minimum(hi_a[:, 1, None], hi_b[None, :, 1])
+    ih -= np.maximum(lo_a[:, 1, None], lo_b[None, :, 1], out=tmp)
+    np.clip(iw, 0.0, None, out=iw)
+    np.clip(ih, 0.0, None, out=ih)
+    inter = np.multiply(iw, ih, out=iw)
+    union = np.add(area_a[:, None], area_b[None, :], out=ih)
+    union -= inter
+    return np.divide(inter, union, out=inter)
 
 
 def matching_distance(a, b) -> float:
@@ -108,11 +126,14 @@ def euclidean_distance(a, b) -> float:
 def euclidean_distance_matrix(a, b) -> np.ndarray:
     a = as_box_array(a)
     b = as_box_array(b)
-    # one (N, M) column difference at a time, added in coordinate order:
-    # the same floats as summing an (N, M, 4) array over its last axis
-    sq = np.zeros((len(a), len(b)))
-    for k in range(4):
-        d = a[:, k, None] - b[None, :, k]
+    # one (N, M) column difference at a time, squared and added in
+    # coordinate order in two buffers: the same floats as summing an
+    # (N, M, 4) array over its last axis (the first square is its own sum)
+    sq = np.subtract(a[:, 0, None], b[None, :, 0])
+    sq *= sq
+    d = np.empty_like(sq)
+    for k in range(1, 4):
+        np.subtract(a[:, k, None], b[None, :, k], out=d)
         d *= d
         sq += d
     return np.sqrt(sq, out=sq)

@@ -10,10 +10,10 @@ image to a distinct anchor, preferring high overlap.
 * ``match_greedy_bipartite``  globally sorted edge list, greedy selection.
 * ``match_exact``        minimum-total-weight assignment (oracle).
 
-All matchers are deterministic: argsorts are stable and ties always break
-toward the ascending anchor index. ``ODF_THREADS`` caps the worker threads
-``build_rankings`` uses (default: hardware parallelism); results are
-identical for every thread count.
+All matchers are deterministic: every sort orders as a stable sort does,
+and ties always break toward the ascending anchor index. ``ODF_THREADS``
+caps the worker threads ``build_rankings`` uses (default: hardware
+parallelism); results are identical for every thread count.
 """
 
 from __future__ import annotations
@@ -187,12 +187,43 @@ def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np
     which rounds distinct small IOUs to one float and ties them. Distances
     that overflow are capped at the largest float, so no key is +inf, the
     mark of a taken anchor; finite distances are below sqrt of that cap.
+    The overflow is expected here, so it raises no warning, in this
+    thread or a worker. No key is NaN: ``iou_matrix`` raises first. The
+    key is built in the distance matrix's buffer.
     """
     iou = iou_matrix(boxes, anchor_arr)
-    edist = euclidean_distance_matrix(boxes, anchor_arr)
-    np.minimum(edist, np.finfo(np.float64).max, out=edist)
+    with np.errstate(over="ignore"):
+        key = euclidean_distance_matrix(boxes, anchor_arr)
+    np.minimum(key, np.finfo(np.float64).max, out=key)
     pos = iou > 0.0
-    return np.where(pos, -iou, edist), np.count_nonzero(pos, axis=1)
+    np.copyto(key, np.negative(iou, out=iou), where=pos)
+    return key, np.count_nonzero(pos, axis=1)
+
+
+def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.argsort(key, axis=1, kind="stable")`` into ``out``,
+    without the stable merge sort.
+
+    One default (SIMD) argsort orders each row; then each run of equal
+    keys is put back in index order by one integer sort of
+    ``run * A + index``, where ``run`` counts the runs up to a position.
+    Every (key, index) pair is distinct, so the result is the stable one
+    whatever order the argsort leaves ties in. ``key`` must hold no NaN,
+    which compares unequal to itself and so would split its run.
+    """
+    a = key.shape[1]
+    itype = np.int32 if a * (a + 1) <= np.iinfo(np.int32).max else np.int64
+    order = np.argsort(key, axis=1)
+    sorted_key = np.take_along_axis(key, order, axis=1)
+    starts = np.empty(key.shape, dtype=bool)
+    starts[:, :1] = True
+    np.not_equal(sorted_key[:, 1:], sorted_key[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts, axis=1, dtype=itype)
+    run *= a
+    tagged = order.astype(itype, copy=False)
+    tagged += run
+    tagged.sort(axis=1)
+    np.subtract(tagged, run, out=out)
 
 
 def _take_cheapest(key: np.ndarray, order) -> np.ndarray:
@@ -246,15 +277,23 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     return MatchAssignment([_take_cheapest(c.copy(), [int(t) for t in order])])
 
 
+# keys built and sorted at a time in build_rankings (512 KB of float64),
+# a whole number of rows: small enough that a block's buffers stay in cache
+_RANK_BLOCK_KEYS = 2**16
+
+
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     """Build the per-box rankings, one chunk of boxes per worker thread.
 
     Each row is a permutation of all anchors: the positive-IOU anchors by
     descending IOU, then the IOU-0 anchors by ascending Euclidean
-    distance, ties toward the lower index (one stable sort of
-    ``_rank_key`` per chunk, the order ``match_serial`` takes anchors in).
-    Rows are mutually independent, so the result is identical regardless
-    of evaluation order or thread count.
+    distance, ties toward the lower index. A chunk builds ``_rank_key``
+    (the order ``match_serial`` takes anchors in) a block of rows at a
+    time and sorts it with ``_stable_argsort_rows``, which equals a
+    stable sort, straight into its slice of ``dist_ids``. A block's
+    buffers stay in cache, and memory beyond the result stays
+    O(block x anchors). Rows are mutually independent, so the result is
+    identical regardless of evaluation order, block size or thread count.
     """
     anchor_arr = as_box_array(anchors)
     n_anchors = len(anchor_arr)
@@ -266,9 +305,13 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     dist_ids = np.empty((n, n_anchors), dtype=np.int64)
     crossover = np.empty(n, dtype=np.int64)
 
+    block = max(1, _RANK_BLOCK_KEYS // n_anchors)
+
     def work(lo: int, hi: int) -> None:
-        key, crossover[lo:hi] = _rank_key(boxes[lo:hi], anchor_arr)
-        dist_ids[lo:hi] = np.argsort(key, axis=1, kind="stable")
+        for b in range(lo, hi, block):
+            e = min(b + block, hi)
+            key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr)
+            _stable_argsort_rows(key, dist_ids[b:e])
 
     _run_chunked(n, work)
     return DistanceRanking(dist_ids, crossover)

@@ -35,6 +35,33 @@ def _seed_euclidean_distance_matrix(a, b):
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
+def _seed_iou_matrix(a, b):
+    """iou_matrix before it computed in reused buffers, frozen here as
+    the bitwise reference: rankings break IOU ties by index, so the
+    floats must not move."""
+    ax1, ay1 = a[:, 0] - a[:, 2] / 2, a[:, 1] - a[:, 3] / 2
+    ax2, ay2 = a[:, 0] + a[:, 2] / 2, a[:, 1] + a[:, 3] / 2
+    bx1, by1 = b[:, 0] - b[:, 2] / 2, b[:, 1] - b[:, 3] / 2
+    bx2, by2 = b[:, 0] + b[:, 2] / 2, b[:, 1] + b[:, 3] / 2
+    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
+    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (a[:, 2] * a[:, 3])[:, None]
+    area_b = (b[:, 2] * b[:, 3])[None, :]
+    return inter / (area_a + area_b - inter)
+
+
+def _random_boxes(seed):
+    """Two box sets of 1-59 boxes; on odd seeds rounded to 0.1, so that
+    coordinates and IOUs tie."""
+    rng = np.random.default_rng(seed)
+    a, b = (np.column_stack([rng.uniform(-500, 500, (n, 2)), rng.uniform(0.5, 300, (n, 2))])
+            for n in rng.integers(1, 60, 2))
+    if seed % 2:
+        a, b = np.round(a, 1), np.round(b, 1)
+    return a, b
+
+
 class TestBoxValidation:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(InvalidBoxError):
@@ -99,6 +126,47 @@ class TestIou:
             for j in range(9):
                 assert m[i, j] == pytest.approx(iou(a[i], b[j]), abs=1e-12)
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_bitwise_equals_seed_formula(self, seed):
+        a, b = _random_boxes(seed)
+        got = iou_matrix(a, b)
+        want = _seed_iou_matrix(a, b)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_empty_side_gives_empty_matrix(self):
+        assert iou_matrix(np.empty((0, 4)), [[0.0, 0, 1, 1]]).shape == (0, 1)
+        assert iou_matrix([[0.0, 0, 1, 1]], np.empty((0, 4))).shape == (1, 0)
+
+
+HUGE = [0.0, 0.0, 1e200, 1e200]  # finite, but its area overflows
+
+
+class TestOverflowingBoxes:
+    """Boxes whose area or corners overflow float64 raise rather than
+    give NaN IOUs (the union would be inf - inf)."""
+
+    @pytest.mark.parametrize("a, b", [
+        ([HUGE], [HUGE]),
+        ([HUGE], [[0.0, 0, 2, 2]]),
+        ([[0.0, 0, 1.5e154, 1e154]], [[0.0, 0, 1.5e154, 1e154]]),  # each area finite, sum not
+        ([[1.7e308, 0, 1e308, 1e-10]], [[1.7e308, 0, 1e308, 1e-10]]),  # right edge at +inf
+    ])
+    def test_iou_matrix_raises(self, a, b):
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            iou_matrix(np.array(a), np.array(b))
+
+    def test_large_finite_boxes_still_compute(self):
+        big = np.array([[0.0, 0, 1e150, 1e150], [5e149, 0, 1e150, 1e150]])
+        m = iou_matrix(big, big)
+        assert np.all(np.isfinite(m))
+        assert m[0, 0] == 1.0 and m[0, 1] == pytest.approx(1 / 3)
+
+    def test_nms_raises(self):
+        cands = [ScoredBox(Box(*HUGE), 0.9), ScoredBox(Box(*HUGE), 0.8)]
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            nms(cands, 0.5)
+
 
 class TestMatchingDistance:
     def test_examples(self):
@@ -116,11 +184,7 @@ class TestEuclideanDistance:
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_matrix_bitwise_equals_seed_formula(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = (np.column_stack([rng.uniform(-500, 500, (n, 2)), rng.uniform(0.5, 300, (n, 2))])
-                for n in rng.integers(1, 60, 2))
-        if seed % 2:
-            a, b = np.round(a, 1), np.round(b, 1)
+        a, b = _random_boxes(seed)
         got = euclidean_distance_matrix(a, b)
         want = _seed_euclidean_distance_matrix(a, b)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

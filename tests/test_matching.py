@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from odkit import (
     CapacityError,
@@ -194,6 +197,43 @@ def _seed_match_serial_cost(c, order):
         chosen[g] = a
         used[a] = True
     return MatchAssignment([chosen])
+
+
+def _seed_build_rankings(anchors, rois):
+    """build_rankings before it sorted without the stable merge sort and
+    built its key in the distance buffer: one np.where key and one stable
+    argsort over every row. Frozen here as the bitwise reference for
+    ``dist_ids`` and ``crossover``."""
+    boxes = rois.rois_values
+    iou = iou_matrix(boxes, anchors)
+    with np.errstate(over="ignore"):
+        edist = euclidean_distance_matrix(boxes, anchors)
+    np.minimum(edist, np.finfo(np.float64).max, out=edist)
+    pos = iou > 0.0
+    key = np.where(pos, -iou, edist)
+    return np.argsort(key, axis=1, kind="stable"), np.count_nonzero(pos, axis=1)
+
+
+YOLO_TEMPLATES = ((10, 13), (16, 30), (33, 23), (30, 61), (62, 45),
+                  (59, 119), (116, 90), (156, 198), (373, 326))
+
+
+def yolo_grid():
+    """13x13 cells of the nine YOLOv3 templates on a 416x416 image."""
+    return build_anchor_grid(GridSpec(image_w=416, image_h=416, grid_w=13, grid_h=13,
+                                      templates=YOLO_TEMPLATES))
+
+
+def yolo_batch(rng, counts, size_lo):
+    """Integer-pixel boxes inside a 416x416 image, ``counts[i]`` in image
+    i, widths and heights uniform in [size_lo, 416]. Large boxes hold
+    many anchors of one template whole, which all share one IOU."""
+    batch = []
+    for c in counts:
+        wh = rng.integers(size_lo, 417, (c, 2)).astype(float)
+        corner = np.floor(rng.random((c, 2)) * (417 - wh))
+        batch.append(np.column_stack([corner + wh / 2, wh]))
+    return batch
 
 
 # three anchors on a row; box 0 sits on anchor 0, box 1 on anchor 1, and
@@ -391,6 +431,132 @@ class TestBuildRankings:
         r7 = build_rankings(anchors, sparse)
         assert np.array_equal(r1.dist_ids, r7.dist_ids)
         assert np.array_equal(r1.crossover, r7.crossover)
+
+
+KEY_POOL = [-1.0, -0.0, 0.0, 5e-324, np.finfo(np.float64).max]
+
+
+class TestStableArgsortRows:
+    """The row sort build_rankings uses equals numpy's stable argsort
+    bitwise, on keys where nearly every key has a tie."""
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=64),
+                  elements=st.sampled_from(KEY_POOL)))
+    @example(np.empty((0, 7)))
+    @example(np.full((3, 1), -0.0))
+    @example(np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, -1.0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, key):
+        out = np.empty(key.shape, dtype=np.int64)
+        matching._stable_argsort_rows(key, out)
+        assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
+
+    def test_wide_rows_tag_in_int64(self):
+        # 46,341 columns: run * A + index no longer fits in int32
+        rng = np.random.default_rng(0)
+        key = rng.choice(KEY_POOL + [3.5, 7.0], size=(2, 46_341))
+        out = np.empty(key.shape, dtype=np.int64)
+        matching._stable_argsort_rows(key, out)
+        assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
+
+
+class TestRankingsEqualStableSort:
+    """build_rankings' rows and crossover equal the frozen stable-sort
+    builder bitwise, at any thread count and block size."""
+
+    @staticmethod
+    def _assert_equals_seed(anchors, sparse):
+        want_ids, want_crossover = _seed_build_rankings(anchors, sparse)
+        for threads in ("1", "2", "3"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("ODF_THREADS", threads)
+                got = build_rankings(anchors, sparse)
+            assert np.array_equal(got.dist_ids, want_ids)
+            assert np.array_equal(got.crossover, want_crossover)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_random_geometric_instance(self, seed):
+        anchors, batch = random_geometric_instance(np.random.default_rng(seed))
+        self._assert_equals_seed(anchors, to_sparse(batch))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_one_row_blocks(self, seed):
+        anchors, batch = random_geometric_instance(np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_RANK_BLOCK_KEYS", 1)
+            self._assert_equals_seed(anchors, to_sparse(batch))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_yolo_geometry_with_large_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        anchors = yolo_grid()
+        sparse = to_sparse(yolo_batch(rng, rng.integers(1, 21, 6), size_lo=200))
+        key = np.sort(matching._rank_key(sparse.rois_values, anchors)[0], axis=1)
+        assert np.any((key[:, 1:] == key[:, :-1]) & (key[:, 1:] < 0))  # IOU ties
+        self._assert_equals_seed(anchors, sparse)
+
+    def test_memory_bounded_on_a_prep_dense_batch(self, monkeypatch):
+        # 336 boxes x 1,521 anchors: the result alone is 3.9 MB, and the
+        # whole-batch key with its temporaries peaked at about 24 MB
+        monkeypatch.setenv("ODF_THREADS", "1")
+        rng = np.random.default_rng(0)
+        counts = np.full(32, 10)
+        counts[:16] += 1
+        anchors = yolo_grid()
+        sparse = to_sparse(yolo_batch(rng, counts, size_lo=2))
+        tracemalloc.start()
+        try:
+            ranking = build_rankings(anchors, sparse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranking.dist_ids.shape == (336, 1521)
+        assert peak < 12 * 2**20
+
+
+HUGE_BOX = [0.0, 0.0, 1e200, 1e200]  # finite, but its area overflows
+
+
+class TestOverflow:
+    """Distances that overflow raise no warning, in any thread; areas
+    that overflow raise InvalidBoxError rather than give NaN IOUs."""
+
+    ANCHORS = np.array([[10.0, 10, 4, 4], [30.0, 10, 4, 4], [50.0, 10, 4, 4]])
+    FAR = [np.array([[1e160, 1e160, 1, 1]] * 2)] * 3
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_build_rankings_warns_in_no_thread(self, monkeypatch, threads):
+        monkeypatch.setenv("ODF_THREADS", threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranking = build_rankings(self.ANCHORS, to_sparse(self.FAR))
+        assert [str(w.message) for w in caught] == []
+        assert ranking.dist_ids.tolist() == [[0, 1, 2]] * 6
+
+    def test_match_serial_warns_not(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = match_serial(self.ANCHORS, self.FAR)
+        assert [str(w.message) for w in caught] == []
+        assert got == MatchAssignment([[0, 1]] * 3)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_build_rankings_rejects_overflowing_area(self, monkeypatch, threads):
+        monkeypatch.setenv("ODF_THREADS", threads)
+        batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([HUGE_BOX])]
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            build_rankings(small_grid(), to_sparse(batch))
+
+    def test_match_serial_rejects_overflowing_area(self):
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            match_serial(small_grid(), [np.array([HUGE_BOX])])
+
+    def test_cost_matrices_rejects_overflowing_area(self):
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            cost_matrices(np.array([HUGE_BOX]), [np.array([HUGE_BOX])])
 
 
 class TestMatchParallel:
