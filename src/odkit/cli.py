@@ -204,6 +204,13 @@ def _cmd_hyperopt(args) -> int:
         raise _UsageError("--ask-tell and --objective are mutually exclusive")
     if not args.ask_tell and not args.objective:
         raise _UsageError("hyperopt needs --objective builtin:NAME or --ask-tell")
+    if args.objective:
+        try:
+            objective = hp.get_objective(args.objective.removeprefix("builtin:"))
+        except ValueError as e:
+            raise _UsageError(str(e)) from None
+    if args.budget < 1:
+        raise _UsageError(f"--budget must be >= 1, got {args.budget}")
 
     state = hp.new_optimizer(space, noise_eps=args.noise_eps, seed=args.seed)
     log = open(args.out, "w", encoding="utf-8") if args.out else None
@@ -222,12 +229,7 @@ def _cmd_hyperopt(args) -> int:
                     return DATA_ERROR
                 value = float(parts[1])
             else:
-                name = args.objective.removeprefix("builtin:")
-                try:
-                    fn = hp.get_objective(name)
-                except ValueError as e:
-                    raise _UsageError(str(e)) from None
-                value = float(fn(x))
+                value = float(objective(x))
             trial = hp.tell(state, x, value)
             entry = {"seq": trial.seq, "point": [float(v) for v in trial.point],
                      "value": trial.value, "best_so_far": hp.best(state).value,

@@ -1,22 +1,21 @@
 """Staged producer/consumer pipeline harness with a throughput model.
 
-Stages run as one worker thread each, connected by bounded FIFO queues of
-capacity ``prefetch_depth``; batch ownership moves through the queues, so
-no state is shared. ``prefetch_depth = 0`` degenerates to a fully
-synchronous loop (no overlap between stages). Shutdown is an end-of-stream
-sentinel that every thread forwards. When a stage or ``on_batch`` raises,
-the run stops feeding, every thread drains its input queue until the
-sentinel, and the first exception is re-raised in the caller once every
-thread has exited. Either way the exception carries a note of how many
-batches had completed.
+A run is one chain of generators from the collected batches to a sink loop
+on the calling thread, which calls ``on_batch``. With ``prefetch_depth = 0``
+the calling thread takes each batch through every stage in turn. Otherwise
+each stage runs in its own worker thread and hands batches on through a
+bounded FIFO queue of capacity ``prefetch_depth``, so no state is shared.
+An exception from a stage or ``on_batch`` reaches the caller at its place
+in batch order, with a note of how many batches had completed; closing the
+chain stops and joins every worker first.
 
-Stage latency is either simulated (sleep for the modeled cost) or real
-(run a bound callable and measure it). The analytic model predicts
-batches/sec as 1000 over the bottleneck stage cost when prefetched, or
-over the summed cost when synchronous. A stage placed differently from its
-predecessor is charged its transfer cost, which is how a layout that
-bounces between host and accelerator loses throughput against a co-located
-one.
+Stage latency is either simulated (sleep until the modeled finish on the
+thread's schedule) or real (run a bound callable and measure it). The
+analytic model predicts batches/sec as 1000 over the bottleneck stage cost
+when prefetched, or over the summed cost when synchronous. A stage placed
+differently from its predecessor is charged its transfer cost, which is how
+a layout that bounces between host and accelerator loses throughput
+against a co-located one.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ _PLACEMENTS = ("host", "accelerator")
 # the first stage is charged transfer if it is not host-placed, since
 # input records originate on the host
 _SOURCE_PLACEMENT = "host"
-# end of stream; a stage may return any payload, None included
-_END = object()
 
 
 class DataUnderrunError(RuntimeError):
@@ -138,19 +135,71 @@ def _collect_batches(cfg: PipelineConfig, data) -> list[dict]:
     return batches
 
 
-def _run_stage(stage: StageSpec, prev_placement: str, payload: dict,
-               busy_ms: list[float], pos: int) -> dict:
-    t0 = time.perf_counter()
-    if stage.fn is not None:
-        payload = stage.fn(payload)
-    else:
-        time.sleep(_stage_cost_ms(stage, prev_placement, payload["n_boxes"]) / 1000.0)
-    busy_ms[pos] += (time.perf_counter() - t0) * 1000.0
-    return payload
+def _stage(st: StageSpec, prev: str, fn, items, free: list[float], busy_ms, pos: int):
+    """Run a stage over ``(ready, payload)`` items, ``ready`` being when the batch left
+    the previous stage, on a thread whose schedule ``free[0]`` is when it finished its
+    last batch. A batch starts at ``max(ready, free)`` and costs a callable's measured
+    time, or the modeled cost, slept off until then so that oversleeps do not add up."""
+    for ready, payload in items:
+        t0 = time.perf_counter()
+        start = max(ready, free[0])
+        if fn is not None:
+            payload = fn(payload)
+            cost = time.perf_counter() - t0
+        else:
+            cost = _stage_cost_ms(st, prev, payload["n_boxes"]) / 1000.0
+            if start + cost > t0:  # a zero sleep would still hand over the interpreter lock
+                time.sleep(start + cost - t0)
+        free[0] = start + cost
+        busy_ms[pos] += cost * 1000.0
+        yield free[0], payload
 
 
-def _note_progress(e: BaseException, done: int, n_batches: int):
-    e.add_note(f"run_pipeline: {done} of {n_batches} batches completed")
+def _buffered(items, upstream, depth: int, free: list[float], next_free: list[float]):
+    """Yield what the stage ``items`` over ``upstream`` yields, from a worker thread up
+    to ``depth`` batches ahead, raising an error at its place. A put that waits on a
+    full queue frees the stage's schedule ``free`` from when, on its own schedule
+    ``next_free``, the consumer took the batch that made room. Closing the buffer stops
+    the worker before its next batch, drains the queue so that a blocked put returns,
+    joins the worker and closes ``upstream``: shutdown cascades up."""
+    q = queue.Queue(depth)
+    stop = threading.Event()
+    takes = []  # the consumer's schedule as it asked for each batch
+
+    def work():
+        error = None
+        try:
+            for i, item in enumerate(items):
+                try:
+                    q.put_nowait((item, None))
+                except queue.Full:
+                    q.put((item, None))
+                    if not stop.is_set():  # else the drain, not a take, made room
+                        free[0] = max(free[0], takes[i - depth])
+                if stop.is_set():
+                    break
+        except BaseException as e:  # re-raised by the consumer
+            error = e
+        q.put((None, error))  # items are never None: the end of the stream
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    item = ()
+    try:
+        while True:
+            takes.append(next_free[0])
+            item, error = q.get()
+            if item is None:
+                break
+            yield item
+        if error is not None:
+            raise error
+    finally:
+        stop.set()
+        while item is not None:  # drain, so that a blocked put returns
+            item = q.get()[0]
+        worker.join()
+        upstream.close()
 
 
 def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
@@ -159,13 +208,12 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
 
     ``matcher`` (a callable on a list of records) binds to the stage named
     ``match``; ``workers`` maps further stage names to callables on the
-    batch payload. ``on_batch(payload)`` fires at the sink in exit order.
-    Stages without a bound callable sleep their modeled cost. An exception
-    raised by a stage callable or ``on_batch`` propagates to the caller,
-    with a note of how many batches had completed (every stage, then
-    ``on_batch``) before it. With prefetching, the first one raised is
-    re-raised after every pipeline thread has exited, and batches still in
-    flight are dropped.
+    batch payload. ``on_batch(payload)`` fires at the sink, on the calling
+    thread, in batch order. Stages without a bound callable sleep their
+    modeled cost. An exception raised by a stage callable or ``on_batch``
+    propagates to the caller, with a note of how many batches had completed
+    (every stage, then ``on_batch``) before it, once every pipeline thread
+    has exited; batches still in flight are dropped.
     """
     stage_fns = dict(workers or {})
     if matcher is not None:
@@ -173,81 +221,33 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
             payload["results"]["match"] = matcher(payload["records"])
             return payload
         stage_fns.setdefault("match", _match_stage)
-
-    stages = []
-    for st in cfg.stages:
-        fn = st.fn if st.fn is not None else stage_fns.get(st.name)
-        stages.append(StageSpec(st.name, st.fixed_ms, st.per_box_ms, st.placement,
-                                st.transfer_cost_ms, fn))
+    fns = [st.fn if st.fn is not None else stage_fns.get(st.name) for st in cfg.stages]
 
     batches = _collect_batches(cfg, data)
-    busy_ms = [0.0] * len(stages)
-    prev_placements = [_SOURCE_PLACEMENT] + [st.placement for st in stages[:-1]]
-    done = 0
+    busy_ms = [0.0] * len(fns)
+    prevs = [_SOURCE_PLACEMENT] + [st.placement for st in cfg.stages[:-1]]
 
     t_start = time.perf_counter()
-    if cfg.prefetch_depth == 0:
-        # layout-A analogue: one batch traverses all stages before the next
-        try:
-            for payload in batches:
-                for pos, st in enumerate(stages):
-                    payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
-                if on_batch is not None:
-                    on_batch(payload)
-                done += 1
-        except BaseException as e:
-            _note_progress(e, done, cfg.n_batches)
-            raise
-    else:
-        qs = [queue.Queue(maxsize=cfg.prefetch_depth) for _ in range(len(stages) + 1)]
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def feed():
-            for payload in batches:
-                if stop.is_set():
-                    break
-                qs[0].put(payload)
-            qs[0].put(_END)
-
-        def work(pos: int):
-            st = stages[pos]
-            while True:
-                payload = qs[pos].get()
-                if payload is _END:
-                    qs[pos + 1].put(_END)  # pass the sentinel downstream
-                    return
-                if stop.is_set():
-                    continue  # drain, so that upstream puts never block
-                try:
-                    payload = _run_stage(st, prev_placements[pos], payload, busy_ms, pos)
-                except BaseException as e:  # re-raised in the caller
-                    errors.append(e)
-                    stop.set()
-                    continue
-                qs[pos + 1].put(payload)
-
-        threads = [threading.Thread(target=feed)]
-        threads += [threading.Thread(target=work, args=(pos,)) for pos in range(len(stages))]
-        for th in threads:
-            th.start()
-        try:
-            while (payload := qs[-1].get()) is not _END:
-                if stop.is_set():
-                    continue
-                if on_batch is not None:
-                    on_batch(payload)
-                done += 1
-        except BaseException as e:
-            errors.append(e)
-            stop.set()
-            while qs[-1].get() is not _END:
-                pass
-        for th in threads:
-            th.join()
-        if errors:
-            _note_progress(errors[0], done, cfg.n_batches)
-            raise errors[0]
+    caller = [t_start]  # one schedule per thread; the caller's is every stage's when synchronous
+    frees = [[t_start] if cfg.prefetch_depth else caller for _ in fns] + [caller]
+    chain = ((t_start, payload) for payload in batches)
+    for pos, (st, fn) in enumerate(zip(cfg.stages, fns)):
+        upstream, chain = chain, _stage(st, prevs[pos], fn, chain, frees[pos], busy_ms, pos)
+        if cfg.prefetch_depth:
+            chain = _buffered(chain, upstream, cfg.prefetch_depth, frees[pos], frees[pos + 1])
+    done = 0
+    try:
+        for ready, payload in chain:
+            t0 = time.perf_counter()
+            if on_batch is not None:
+                on_batch(payload)
+            caller[0] = max(ready, caller[0]) + time.perf_counter() - t0
+            done += 1
+    except BaseException as e:
+        e.add_note(f"run_pipeline: {done} of {cfg.n_batches} batches completed")
+        raise
+    finally:
+        chain.close()
     wall_ms = (time.perf_counter() - t_start) * 1000.0
 
     bps = done / (wall_ms / 1000.0) if wall_ms > 0 else float("inf")

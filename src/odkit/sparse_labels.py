@@ -49,6 +49,8 @@ _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _BOUNDS_SLACK = 1e-3
 # records are read, checked and written in blocks of at least this many bytes
 _BLOCK_BYTES = 1 << 16
+# the longest payload a record can have: its header and 65,535 boxes
+_MAX_PAYLOAD = _HEAD.size + _U16_MAX * _BOX.size
 
 
 class RecordFormatError(ValueError):
@@ -329,6 +331,8 @@ def _parse(f):
             raise RecordCorruptionError("truncated record length", offset)
         (plen,) = _LEN.unpack(head)
         offset += _LEN.size
+        if plen > _MAX_PAYLOAD:
+            _reject_long_payload(f, plen, offset)
         payload = f.read(plen)
         if len(payload) < plen:
             raise RecordCorruptionError("truncated record payload", offset)
@@ -340,6 +344,20 @@ def _parse(f):
                 f"payload length {plen} does not match {nb} boxes", offset)
         offset += plen
         yield image_id, image_w, image_h, nb, head + payload
+
+
+def _reject_long_payload(f, plen, offset):
+    """Raise the error a read of ``plen`` bytes, more than any record holds,
+    leads to, reading on in pieces of bounded size to tell a truncated
+    payload from one whose length does not match its box count."""
+    head = f.read(_HEAD.size)
+    left = plen - len(head)
+    while left and (piece := f.read(min(left, _BLOCK_BYTES))):
+        left -= len(piece)
+    if left:
+        raise RecordCorruptionError("truncated record payload", offset)
+    nb = _HEAD.unpack(head)[3]
+    raise RecordCorruptionError(f"payload length {plen} does not match {nb} boxes", offset)
 
 
 def _block_records(block):

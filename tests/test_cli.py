@@ -179,6 +179,30 @@ class TestHyperopt:
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",
                        "--objective", "builtin:nope") == 1
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("mode", [["--objective", "builtin:sphere"], ["--ask-tell"]],
+                             ids=["objective", "ask-tell"])
+    def test_budget_below_one_is_usage_error(self, budget, mode, capsys):
+        assert run_cli("hyperopt", "--space", "table3.json", "--budget", budget, *mode) == 1
+        captured = capsys.readouterr()
+        assert f"--budget must be >= 1, got {budget}" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_builtin_reported_before_the_budget(self, capsys):
+        assert run_cli("hyperopt", "--space", "table3.json", "--budget", "0",
+                       "--objective", "builtin:nope") == 1
+        assert "unknown builtin objective 'nope'" in capsys.readouterr().err
+
+    def test_builtin_objective_looked_up_once(self, monkeypatch, tmp_path):
+        from odkit import hyperopt
+        lookups = []
+        real = hyperopt.get_objective
+        monkeypatch.setattr(hyperopt, "get_objective",
+                            lambda name: lookups.append(name) or real(name))
+        assert run_cli("hyperopt", "--space", "table3.json", "--budget", "5",
+                       "--objective", "builtin:sphere", "--out", str(tmp_path / "t.jsonl")) == 0
+        assert lookups == ["sphere"]
+
     def test_ask_tell_protocol_over_stdio(self, tmp_path):
         out = tmp_path / "t.jsonl"
         proc = subprocess.Popen(

@@ -1,5 +1,7 @@
 import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,6 +147,80 @@ class TestRun:
         merged = [ids for a in got for ids in a.anchor_ids]
         assert len(merged) == len(standalone.anchor_ids)
         assert all(np.array_equal(x, y) for x, y in zip(merged, standalone.anchor_ids))
+
+
+class TestSchedule:
+    """Sleeping stages keep the model's schedule: each sleeps until its
+    modeled finish, so time lost to oversleeping does not add up."""
+
+    def test_oversleeping_does_not_add_up(self, monkeypatch):
+        real_sleep = time.sleep
+        monkeypatch.setattr(time, "sleep", lambda s: real_sleep(s + 0.002))
+        cfg = PipelineConfig(stages=[StageSpec("only", fixed_ms=10)],
+                             prefetch_depth=0, n_batches=10)
+        r = run_pipeline(cfg, RECORDS)
+        # 10 x (10 + 2) = 120 ms if every batch paid its oversleep
+        assert 100 <= r.wall_ms < 115
+
+    def test_stage_blocked_by_a_full_queue_is_charged_its_cost(self):
+        cfg = PipelineConfig(stages=[StageSpec("load", fixed_ms=2),
+                                     StageSpec("update", fixed_ms=8)],
+                             prefetch_depth=1, n_batches=20)
+        r = run_pipeline(cfg, RECORDS)
+        assert r.per_stage_busy_ms[0] == pytest.approx(40, rel=0.3)
+
+    def test_stage_blocked_by_a_full_queue_does_not_run_ahead(self):
+        # "update" is the bottleneck for 10 heavy batches, then "load" is for
+        # 10 empty ones. "load" may start a batch only once its queue has
+        # room, so the run takes about 236 ms; were it free from its own last
+        # finish, it would skip its sleeps after the heavy batches (~206 ms).
+        heavy, empty = SimpleNamespace(boxes=[0] * 10), SimpleNamespace(boxes=[])
+        cfg = PipelineConfig(stages=[StageSpec("load", fixed_ms=4),
+                                     StageSpec("update", per_box_ms=2)],
+                             prefetch_depth=1, n_batches=20)
+        r = run_pipeline(cfg, [heavy] * 10 + [empty] * 10)
+        assert r.wall_ms > 225
+
+    def test_downstream_stall_does_not_shift_the_schedule(self, monkeypatch):
+        # "net" oversleeps its first batch by 60 ms, which fills the queue
+        # "load" feeds; "load" then catches up, as it waited on a stall, not
+        # on the model
+        real_sleep = time.sleep
+        threads, calls = [], []
+
+        def stalling_sleep(s):
+            me = threading.get_ident()
+            if me not in threads:
+                threads.append(me)  # in order of first sleep: load, net, update
+            calls.append(me)
+            if threads.index(me) == 1 and calls.count(me) == 1:
+                s += 0.06
+            real_sleep(s)
+        monkeypatch.setattr(time, "sleep", stalling_sleep)
+        cfg = PipelineConfig(stages=[StageSpec("load", fixed_ms=6),
+                                     StageSpec("net", fixed_ms=4),
+                                     StageSpec("update", fixed_ms=5)],
+                             prefetch_depth=2, n_batches=15)
+        r = run_pipeline(cfg, RECORDS)
+        # the model's 15 x 6 + 4 + 5 = 99 ms, against about 145 ms if the
+        # stall had pushed back the rest of the run
+        assert r.wall_ms < 125
+
+
+class TestThreads:
+    @pytest.mark.parametrize("prefetch, started", [(0, 0), (1, 3), (2, 3)])
+    def test_one_thread_per_stage(self, monkeypatch, prefetch, started):
+        starts = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread)
+            real_start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        cfg = PipelineConfig(stages=[StageSpec(s, fixed_ms=1) for s in "abc"],
+                             prefetch_depth=prefetch, n_batches=6)
+        assert run_pipeline(cfg, RECORDS).n_batches_processed == 6
+        assert len(starts) == started
 
 
 class TestCompare:

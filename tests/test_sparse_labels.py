@@ -2,6 +2,7 @@ import copy
 import functools
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,27 @@ class TestRecordFile:
         with pytest.raises(RecordCorruptionError) as e:
             list(read_records(path))
         assert e.value.offset == 8
+
+    @pytest.mark.parametrize("after, message", [
+        (24, "truncated record payload"),
+        (3_000_000, "payload length 3000000 does not match 2 boxes")],
+        ids=["truncated", "mismatched"])
+    def test_long_length_field_is_read_in_bounded_pieces(self, tmp_path, after, message):
+        # no record is longer than 14 + 18 * 65,535 bytes; a longer length
+        # field must not make the reader allocate what it states
+        plen = 0xFFFFFFF0 if after == 24 else after
+        path = tmp_path / "t.odr"
+        path.write_bytes(b"ODR1" + struct.pack("<I", plen)
+                         + struct.pack("<QHHH", 1, 64, 64, 2) + bytes(after - 14))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RecordCorruptionError) as e:
+                list(read_records(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == f"{message} (at byte offset 8)"
+        assert peak < 8 * 2**20
 
     def test_known_byte_layout(self, tmp_path):
         rec = LabelRecord(7, 64, 48, np.array([[16.5, 12.25, 8, 6]]),
