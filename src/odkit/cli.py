@@ -9,6 +9,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,10 +147,10 @@ def _cmd_match(args) -> int:
         for i, rec in enumerate(records):
             f.write(_jsonl_line({
                 "image_id": rec.image_id,
-                "assignment": [int(x) for x in a.anchor_ids[i]],
+                "assignment": a.anchor_ids[i].tolist(),
                 "total_weight": matching.total_weight(
                     matching.MatchAssignment([a.anchor_ids[i]]), [costs[i]]),
-                "deltas": [[float(v) for v in row] for row in deltas[i]],
+                "deltas": deltas[i].tolist(),
             }))
     print(f"matched {len(records)} images ({args.algo}) -> {args.out}")
     return 0
@@ -313,9 +314,12 @@ def build_parser() -> _Parser:
     return p
 
 
+# parsing leaves a parser as it was, so one serves every call in a process
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as e:

@@ -395,7 +395,9 @@ def tell(state: OptimizerState, point, value: float) -> Trial:
     if state.pending is None:
         raise ProtocolError("tell called with no pending ask")
     p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape != state.pending.shape or not np.allclose(p, state.pending, rtol=0, atol=1e-12):
+    # np.allclose(p, pending, rtol=0, atol=1e-12) for a finite pending
+    # ask, without its set-up: NaN and inf in p fail both
+    if p.shape != state.pending.shape or not np.abs(p - state.pending).max() <= 1e-12:
         raise ProtocolError(f"tell point {p} does not match the pending ask {state.pending}")
     if not math.isfinite(value):
         raise ValueError(f"objective value must be finite, got {value}")

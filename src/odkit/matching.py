@@ -278,21 +278,25 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
 
 
 # keys built and sorted at a time in build_rankings (512 KB of float64),
-# a whole number of rows: small enough that a block's buffers stay in cache
+# a whole number of rows: small enough that a block's buffers stay in
+# cache, and the least work worth a thread
 _RANK_BLOCK_KEYS = 2**16
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
-    """Build the per-box rankings, one chunk of boxes per worker thread.
+    """Build the per-box rankings, one chunk of row blocks per worker
+    thread.
 
     Each row is a permutation of all anchors: the positive-IOU anchors by
     descending IOU, then the IOU-0 anchors by ascending Euclidean
-    distance, ties toward the lower index. A chunk builds ``_rank_key``
-    (the order ``match_serial`` takes anchors in) a block of rows at a
-    time and sorts it with ``_stable_argsort_rows``, which equals a
-    stable sort, straight into its slice of ``dist_ids``. A block's
-    buffers stay in cache, and memory beyond the result stays
-    O(block x anchors). Rows are mutually independent, so the result is
+    distance, ties toward the lower index. Rows are built a block of
+    ``_RANK_BLOCK_KEYS`` keys at a time: ``_rank_key`` (the order
+    ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``,
+    which equals a stable sort, straight into the block's slice of
+    ``dist_ids``. A block's buffers stay in cache, and memory beyond the
+    result stays O(block x anchors). ``_run_chunked`` splits whole blocks,
+    so a thread gets at least one and a batch of one block runs on the
+    caller's thread. Rows are mutually independent, so the result is
     identical regardless of evaluation order, block size or thread count.
     """
     anchor_arr = as_box_array(anchors)
@@ -308,12 +312,12 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     block = max(1, _RANK_BLOCK_KEYS // n_anchors)
 
     def work(lo: int, hi: int) -> None:
-        for b in range(lo, hi, block):
-            e = min(b + block, hi)
+        for b in range(lo * block, min(hi * block, n), block):
+            e = min(b + block, n)
             key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr)
             _stable_argsort_rows(key, dist_ids[b:e])
 
-    _run_chunked(n, work)
+    _run_chunked(-(-n // block), work)
     return DistanceRanking(dist_ids, crossover)
 
 
@@ -430,11 +434,17 @@ def match_greedy_bipartite(cost) -> MatchAssignment:
     return MatchAssignment(out)
 
 
-def _hungarian_total(c: np.ndarray) -> float:
+def _hungarian(c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Total and columns of a minimum-total assignment of every row of
+    ``c`` (row g takes ``cols[g]``)."""
     if c.size == 0 or c.shape[0] == 0:
-        return 0.0
+        return 0.0, np.empty(0, dtype=np.intp)
     r, col = scipy.optimize.linear_sum_assignment(c)
-    return float(c[r, col].sum())
+    return float(c[r, col].sum()), col
+
+
+def _hungarian_total(c: np.ndarray) -> float:
+    return _hungarian(c)[0]
 
 
 def _lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
@@ -444,17 +454,17 @@ def _lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
     One solve gives the optimum ``best`` and its columns; their reduced
     costs ``rc`` (see ``_reduced_costs``) bound every other assignment
     from below by ``best`` plus the ``rc`` of its edges. The refinement
-    runs only on columns with some ``rc`` within ``margin`` of 0, then
-    maps the chosen columns back. ``margin`` covers the tolerance with
-    which the refinement accepts a total as optimal, plus rounding.
+    runs only on columns with some ``rc`` within ``margin`` of 0, which
+    include the solve's own, then maps the chosen columns back. ``margin``
+    covers the tolerance with which the refinement accepts a total as
+    optimal, plus rounding.
     """
-    rows, cols = scipy.optimize.linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
+    best, cols = _hungarian(c)
     tol = 1e-9 * max(1.0, abs(best))
     margin = 4 * tol + 1e-12 * float(np.abs(c).sum())
     rc = _reduced_costs(c, cols)
     keep = np.flatnonzero(rc.min(axis=0) <= margin)
-    return keep[_refine(c[:, keep], rc[:, keep], best, margin)]
+    return keep[_refine(c[:, keep], rc[:, keep], best, margin, np.searchsorted(keep, cols))]
 
 
 def _reduced_costs(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -482,33 +492,48 @@ def _reduced_costs(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return move + v[cols, None] - v
 
 
-def _refine(c: np.ndarray, rc: np.ndarray, best: float, margin: float) -> np.ndarray:
+def _refine(c: np.ndarray, rc: np.ndarray, best: float, margin: float,
+            carry: np.ndarray) -> np.ndarray:
     """Fix rows one at a time, keeping the lowest available column from
     which the optimum ``best`` is still reachable.
 
     A column is tried only while the reduced costs of the fixed prefix
-    plus its own stay within ``margin``; each tried column gets a
-    Hungarian solve of the remaining rows, in ascending order, and the
-    first whose total is ``best`` is kept.
+    plus its own stay within ``margin``, in ascending order, and the first
+    from which the remaining rows still reach ``best`` is kept. ``carry``
+    is an optimum that extends the fixed prefix (row g takes
+    ``carry[g]``): the first solve's columns, then those of the last
+    solve that reached ``best``. When the tried column is the carried
+    one, the carried rest is a witness, and its total is accepted without
+    a solve when it is ``best``: a solve's total lies between ``best``
+    and the witness's, up to rounding, so it would accept the same
+    column. Any other column gets a Hungarian solve of the remaining
+    rows, whose columns become the carry when it reaches ``best``. The
+    carry ends as the chosen columns.
     """
     nb = c.shape[0]
+    rows = np.arange(nb)
     avail = np.arange(c.shape[1])
-    chosen = np.empty(nb, dtype=np.int64)
+    carry = carry.copy()
     prefix = prefix_rc = 0.0
     for g in range(nb):
         trials = prefix + c[g, avail]
         rest = c[g + 1:, avail]
         for pos in np.flatnonzero(prefix_rc + rc[g, avail] <= margin):
-            total = trials[pos] + _hungarian_total(np.delete(rest, pos, axis=1))
-            if math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9):
-                chosen[g] = avail[pos]
-                prefix = trials[pos]
-                prefix_rc += rc[g, avail[pos]]
-                avail = np.delete(avail, pos)
+            if avail[pos] == carry[g]:
+                witness = float(c[rows[g + 1:], carry[g + 1:]].sum())
+                if math.isclose(trials[pos] + witness, best, rel_tol=1e-12, abs_tol=1e-9):
+                    break
+            total, cols = _hungarian(np.delete(rest, pos, axis=1))
+            if math.isclose(trials[pos] + total, best, rel_tol=1e-12, abs_tol=1e-9):
+                carry[g] = avail[pos]
+                carry[g + 1:] = np.delete(avail, pos)[cols]
                 break
         else:  # numeric safety net; cannot trigger on exact ties
             raise MatchInconsistencyError("optimal refinement failed to extend prefix")
-    return chosen
+        prefix = trials[pos]
+        prefix_rc += rc[g, avail[pos]]
+        avail = np.delete(avail, pos)
+    return carry
 
 
 def match_exact(cost) -> MatchAssignment:

@@ -37,6 +37,11 @@ class DataUnderrunError(RuntimeError):
     """The record stream ended before n_batches * batch_size records."""
 
 
+class _StageStopIteration(Exception):
+    """Carries a stage's ``StopIteration`` (its ``__cause__``) out of the
+    stage's generator, where PEP 479 would turn it into ``RuntimeError``."""
+
+
 @dataclass
 class StageSpec:
     """One pipeline stage: a cost model plus an optional real workload.
@@ -144,7 +149,10 @@ def _stage(st: StageSpec, prev: str, fn, items, free: list[float], busy_ms, pos:
         t0 = time.perf_counter()
         start = max(ready, free[0])
         if fn is not None:
-            payload = fn(payload)
+            try:
+                payload = fn(payload)
+            except StopIteration as e:
+                raise _StageStopIteration() from e
             cost = time.perf_counter() - t0
         else:
             cost = _stage_cost_ms(st, prev, payload["n_boxes"]) / 1000.0
@@ -244,8 +252,11 @@ def run_pipeline(cfg: PipelineConfig, data, matcher=None, workers=None,
             caller[0] = max(ready, caller[0]) + time.perf_counter() - t0
             done += 1
     except BaseException as e:
-        e.add_note(f"run_pipeline: {done} of {cfg.n_batches} batches completed")
-        raise
+        error = e.__cause__ if isinstance(e, _StageStopIteration) else e
+        error.add_note(f"run_pipeline: {done} of {cfg.n_batches} batches completed")
+        if error is e:
+            raise
+        raise error from error.__cause__  # the wrapper stays out of its chain
     finally:
         chain.close()
     wall_ms = (time.perf_counter() - t_start) * 1000.0

@@ -4,6 +4,16 @@ import sys
 
 import pytest
 
+from odkit import (
+    GridSpec,
+    MatchAssignment,
+    build_anchor_grid,
+    compute_deltas,
+    cost_matrices,
+    read_records,
+    total_weight,
+)
+from odkit import cli
 from odkit.cli import TransferPlanEntry, main, plan_transfer
 
 GRID_FLAGS = ["--grid", "3x3x2", "--image", "96x96",
@@ -89,6 +99,73 @@ class TestMatch:
         code = run_cli("match", "--algo", "serial", "--records", str(bad),
                        *GRID_FLAGS, "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+MATCH_VARIANTS = [("serial",), ("parallel",), ("greedy",), ("exact",),
+                  ("parallel", "--dedup", "paper-literal")]
+
+
+class TestMatchBytes:
+    @pytest.mark.parametrize("variant", MATCH_VARIANTS)
+    def test_lines_equal_per_element_writer(self, record_file, tmp_path, variant):
+        # the lines as first written, one int() or float() per element
+        out = tmp_path / "m.jsonl"
+        assert run_cli("match", "--algo", *variant, "--records", str(record_file),
+                       *GRID_FLAGS, "--out", str(out)) == 0
+        records = list(read_records(record_file))
+        anchors = build_anchor_grid(GridSpec(96, 96, 3, 3, ((16, 12), (32, 24))))
+        batch = [r.boxes for r in records]
+        costs = cost_matrices(anchors, batch)
+        ids = [json.loads(line)["assignment"] for line in out.read_text().splitlines()]
+        a = MatchAssignment(ids)
+        deltas = compute_deltas(a, anchors, batch)
+        want = "".join(json.dumps({
+            "image_id": rec.image_id,
+            "assignment": [int(x) for x in a.anchor_ids[i]],
+            "total_weight": total_weight(MatchAssignment([a.anchor_ids[i]]), [costs[i]]),
+            "deltas": [[float(v) for v in row] for row in deltas[i]],
+        }, sort_keys=True, separators=(", ", ": ")) + "\n" for i, rec in enumerate(records))
+        assert out.read_text() == want
+
+
+class TestParserReuse:
+    """main parses with one parser per process, and no call leaves state
+    in it that changes a later call."""
+
+    @staticmethod
+    def _outcome(argv, out, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+        stdout, stderr = capsys.readouterr()
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout, stderr, text
+
+    def test_each_call_equals_a_fresh_parser(self, record_file, tmp_path, capsys,
+                                             monkeypatch):
+        out = tmp_path / "out.jsonl"
+        match = ["match", "--records", str(record_file), *GRID_FLAGS, "--out", str(out)]
+        calls = [
+            [*match, "--algo", "parallel", "--dedup", "paper-literal"],
+            [*match, "--algo", "parallel"],
+            [*match, "--algo", "bogus"],
+            [*match, "--algo", "serial"],
+            [*match, "--algo", "serial", "--grid", "3x3x3"],
+            [*match, "--algo", "exact"],
+            ["plan-transfer", "--layers", "2"],
+            [*match, "--algo", "greedy"],
+        ]
+        shared = [self._outcome(argv, out, capsys) for argv in calls]
+        assert cli._shared_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [self._outcome(argv, out, capsys) for argv in calls]
+        assert shared == fresh
+        assert [o[0] for o in shared] == [0, 0, 1, 0, 1, 0, 0, 0]
+        # the default dedup is strict, which equals serial here, and differs
+        # from paper-literal on this file
+        assert shared[1][3] == shared[3][3] != shared[0][3]
 
 
 class TestBench:

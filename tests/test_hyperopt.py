@@ -89,6 +89,45 @@ class TestProtocol:
         assert len(state.trials) == 1
 
 
+EDGE = 1e-12  # the point check's absolute tolerance
+ABOVE_EDGE = float(np.nextafter(EDGE, 1.0))
+
+
+def _tell_accepts(pending, point) -> bool:
+    state = hp.new_optimizer(UNIT_2D, seed=0)
+    state.pending = np.asarray(pending, dtype=np.float64)
+    try:
+        hp.tell(state, point, 1.0)
+    except hp.ProtocolError:
+        return False
+    return True
+
+
+class TestTellPointCheck:
+    """tell accepts a point exactly when np.allclose(point, pending,
+    rtol=0, atol=1e-12) does, for the finite points ask returns."""
+
+    @pytest.mark.parametrize("point,accepted", [
+        ([EDGE, 0.5], True), ([-EDGE, 0.5], True), ([ABOVE_EDGE, 0.5], False),
+        ([-ABOVE_EDGE, 0.5], False), ([-0.0, 0.5], True),
+        ([np.nan, 0.5], False), ([np.inf, 0.5], False), ([-np.inf, 0.5], False)])
+    def test_edges(self, point, accepted):
+        assert _tell_accepts([0.0, 0.5], point) is accepted
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decision_as_allclose(self, data):
+        values = st.sampled_from([0.0, -0.0, 5e-324, EDGE, 0.5, 1.0, 1e6]) | st.floats(-1e3, 1e3)
+        pending = np.array(data.draw(st.lists(values, min_size=2, max_size=2)))
+        shifts = [0.0, -0.0, EDGE, -EDGE, ABOVE_EDGE, -ABOVE_EDGE,
+                  float(np.nextafter(EDGE, 0.0)), 1e-9]
+        point = [data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+                           | st.sampled_from(shifts).map(lambda d, x=x: x + d))
+                 for x in pending]
+        want = bool(np.allclose(point, pending, rtol=0, atol=EDGE))
+        assert _tell_accepts(pending, point) is want
+
+
 class TestAskBehavior:
     def test_first_ask_in_bounds(self):
         state = hp.new_optimizer(UNIT_2D, seed=4)

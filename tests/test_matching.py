@@ -284,6 +284,28 @@ def any_instance(seed):
     return (tiny_grid_instance if seed % 2 else random_geometric_instance)(rng)
 
 
+def crowded_instance(seed):
+    """Crowded evaluation images: 8x8x3 anchors on a 320x320 image, 16,
+    24, 32 and 40 boxes of 4-24 px, an eighth of each image's boxes
+    shifted off the image, where they overlap no anchor."""
+    rng = np.random.default_rng(seed)
+    anchors = build_anchor_grid(GridSpec(image_w=320, image_h=320, grid_w=8, grid_h=8,
+                                         templates=((12, 12), (16, 24), (24, 16))))
+    batch = []
+    for n in rng.permutation([16, 24, 32, 40]):
+        wh = rng.integers(4, 25, (n, 2))
+        centre = wh / 2 + np.floor(rng.random((n, 2)) * (321 - wh))
+        centre[:n // 8] += 400
+        batch.append(np.column_stack([centre, wh]).astype(float))
+    return anchors, batch
+
+
+def one_row_blocks(monkeypatch):
+    """build_rankings hands threads whole row blocks; one-row blocks let
+    a few boxes still split across worker threads."""
+    monkeypatch.setattr(matching, "_RANK_BLOCK_KEYS", 1)
+
+
 class TestMatchSerial:
     def test_exact_anchor_hit(self):
         anchors = small_grid()
@@ -530,6 +552,7 @@ class TestOverflow:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_build_rankings_warns_in_no_thread(self, monkeypatch, threads):
         monkeypatch.setenv("ODF_THREADS", threads)
+        one_row_blocks(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ranking = build_rankings(self.ANCHORS, to_sparse(self.FAR))
@@ -546,6 +569,7 @@ class TestOverflow:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_build_rankings_rejects_overflowing_area(self, monkeypatch, threads):
         monkeypatch.setenv("ODF_THREADS", threads)
+        one_row_blocks(monkeypatch)
         batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([HUGE_BOX])]
         with pytest.raises(InvalidBoxError, match="overflow"):
             build_rankings(small_grid(), to_sparse(batch))
@@ -621,6 +645,7 @@ class TestWorkerErrors:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_match_parallel_raises_bad_ranking(self, monkeypatch, threads):
         monkeypatch.setenv("ODF_THREADS", threads)
+        one_row_blocks(monkeypatch)
         anchors = small_grid()
         sparse = to_sparse([np.array([[20.0, 20, 8, 8]])] * 6)
         ranking = build_rankings(anchors, sparse)
@@ -884,6 +909,25 @@ class TestMatchExact:
         a = match_exact(c)
         assert total_weight(a, [c]) == pytest.approx(total, abs=1e-9)
         assert tuple(a.anchor_ids[0]) == tup
+
+    def test_carried_optimum_saves_solves(self, monkeypatch):
+        # a refinement that confirms each fixed row by a solve needs one
+        # per box plus one per image, 464 here; the carried optimum
+        # confirms most rows without one
+        costs = []
+        for seed in range(4):
+            anchors, batch = crowded_instance(seed)
+            assert any(np.all(iou_matrix(b, anchors) == 0, axis=1).any() for b in batch)
+            costs += cost_matrices(anchors, batch)
+        want = [_seed_lex_smallest_optimal(c) for c in costs]
+        real = scipy.optimize.linear_sum_assignment
+        solves = []
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                            lambda c: solves.append(c.shape) or real(c))
+        got = match_exact(costs)
+        assert got == MatchAssignment(want)
+        n_boxes = sum(len(c) for c in costs)
+        assert len(solves) <= n_boxes // 2
 
 
 def _bound_instance(seed):

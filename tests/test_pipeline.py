@@ -155,12 +155,25 @@ class TestSchedule:
 
     def test_oversleeping_does_not_add_up(self, monkeypatch):
         real_sleep = time.sleep
-        monkeypatch.setattr(time, "sleep", lambda s: real_sleep(s + 0.002))
+        woke = [0.0]  # how far the last real sleep woke past its s + 2 ms
+        late = []  # that, per batch, or 0 for a batch that did not sleep
+
+        def oversleep(s):
+            t0 = time.perf_counter()
+            real_sleep(s + 0.002)
+            woke[0] = time.perf_counter() - t0 - (s + 0.002)
+
+        def on_batch(payload):
+            late.append(woke[0])
+            woke[0] = 0.0
+
+        monkeypatch.setattr(time, "sleep", oversleep)
         cfg = PipelineConfig(stages=[StageSpec("only", fixed_ms=10)],
                              prefetch_depth=0, n_batches=10)
-        r = run_pipeline(cfg, RECORDS)
-        # 10 x (10 + 2) = 120 ms if every batch paid its oversleep
-        assert 100 <= r.wall_ms < 115
+        r = run_pipeline(cfg, RECORDS, on_batch=on_batch)
+        # 10 x (10 + 2) = 120 ms if every batch paid its oversleep. No later
+        # sleep absorbs the host's own lateness on the last batch's.
+        assert 100 <= r.wall_ms - late[-1] * 1000 < 115
 
     def test_stage_blocked_by_a_full_queue_is_charged_its_cost(self):
         cfg = PipelineConfig(stages=[StageSpec("load", fixed_ms=2),
@@ -336,6 +349,21 @@ class TestFailingStage:
                                          on_batch=lambda p: seen.append(p["index"]))
         assert outcome.get("error") is exc
         assert seen == list(range(len(seen))) and len(seen) <= 3
+
+    @pytest.mark.parametrize("prefetch", [0, 2])
+    @pytest.mark.parametrize("failing", ["a", "c"])
+    def test_stage_stop_iteration_is_its_own(self, prefetch, failing):
+        # stages run inside generators, which turn a StopIteration raised
+        # in them into RuntimeError (PEP 479)
+        exc = StopIteration(f"stage {failing} ran dry")
+        workers = {s: (lambda p: p) for s in self.STAGES}
+        workers[failing] = self._raise_at(3, exc)
+        seen = []
+        outcome = self._run_with_timeout(self._cfg(prefetch), workers=workers,
+                                         on_batch=lambda p: seen.append(p["index"]))
+        assert outcome.get("error") is exc
+        assert exc.__notes__ == [f"run_pipeline: {len(seen)} of 12 batches completed"]
+        assert exc.__cause__ is None
 
     @pytest.mark.parametrize("prefetch", [0, 1, 2])
     def test_raising_on_batch(self, prefetch):
