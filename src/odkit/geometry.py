@@ -56,11 +56,17 @@ def as_box_array(boxes) -> np.ndarray:
         arr = np.stack(rows) if rows else np.empty((0, 4), dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise InvalidBoxError(f"expected (N, 4) boxes, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidBoxError("non-finite box coordinates")
-    if arr.size and (np.any(arr[:, 2] <= 0) or np.any(arr[:, 3] <= 0)):
-        raise InvalidBoxError("non-positive box dimensions")
+    _check_box_values(arr)
     return arr
+
+
+def _check_box_values(boxes: np.ndarray) -> None:
+    """Raise :class:`InvalidBoxError` unless every row of the (N, 4) array
+    ``boxes`` is finite with positive width and height."""
+    if not np.isfinite(boxes).all():
+        raise InvalidBoxError("non-finite box coordinates")
+    if (boxes[:, 2:] <= 0).any():
+        raise InvalidBoxError("non-positive box dimensions")
 
 
 def _one_box(b) -> np.ndarray:

@@ -11,16 +11,17 @@ image to a distinct anchor, preferring high overlap.
 * ``match_exact``        minimum-total-weight assignment (oracle).
 
 All matchers are deterministic: every sort orders as a stable sort does,
-and ties always break toward the ascending anchor index. ``ODF_THREADS``
-caps the worker threads ``build_rankings`` uses (default: hardware
-parallelism); results are identical for every thread count.
+and ties always break toward the ascending anchor index. ``build_rankings``
+hands its row blocks to a thread pool of at most ``ODF_THREADS`` threads
+(default: hardware parallelism); no other matcher starts a thread, and
+results are identical for every thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,40 +141,6 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunked(n: int, fn) -> None:
-    """Run fn(lo, hi) over [0, n) split across worker threads and wait.
-
-    fn must write only to disjoint output slices. The join is the barrier
-    between data-parallel stages. An exception raised in a chunk is
-    re-raised here once every thread has joined (the lowest failing
-    chunk's, so the error does not depend on scheduling), never dropped.
-    """
-    t = min(thread_cap(), n)
-    if t <= 1:
-        if n:
-            fn(0, n)
-        return
-    bounds = np.linspace(0, n, t + 1).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    errors: list[Exception | None] = [None] * len(chunks)
-
-    def run(k: int, lo: int, hi: int) -> None:
-        try:
-            fn(lo, hi)
-        except Exception as e:  # handed to the caller after the join
-            errors[k] = e
-
-    threads = [threading.Thread(target=run, args=(k, lo, hi))
-               for k, (lo, hi) in enumerate(chunks)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    for e in errors:
-        if e is not None:
-            raise e
-
-
 def _per_image_boxes(batch) -> list[np.ndarray]:
     return [as_box_array(img) for img in batch]
 
@@ -284,8 +251,8 @@ _RANK_BLOCK_KEYS = 2**16
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
-    """Build the per-box rankings, one chunk of row blocks per worker
-    thread.
+    """Build the per-box rankings, row block by row block, on a thread
+    pool.
 
     Each row is a permutation of all anchors: the positive-IOU anchors by
     descending IOU, then the IOU-0 anchors by ascending Euclidean
@@ -294,10 +261,13 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``,
     which equals a stable sort, straight into the block's slice of
     ``dist_ids``. A block's buffers stay in cache, and memory beyond the
-    result stays O(block x anchors). ``_run_chunked`` splits whole blocks,
-    so a thread gets at least one and a batch of one block runs on the
-    caller's thread. Rows are mutually independent, so the result is
-    identical regardless of evaluation order, block size or thread count.
+    result stays O(block x anchors). The blocks go to a pool of
+    ``min(thread_cap(), blocks)`` threads; a batch of one block, or a cap
+    of one, runs on the caller's thread. An error in a block reaches the
+    caller once the pool has shut down: the lowest failing block's, at
+    every thread count, and blocks not yet started when it happened may be
+    skipped. Rows are mutually independent, so the result is identical
+    regardless of evaluation order, block size or thread count.
     """
     anchor_arr = as_box_array(anchors)
     n_anchors = len(anchor_arr)
@@ -310,14 +280,20 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     crossover = np.empty(n, dtype=np.int64)
 
     block = max(1, _RANK_BLOCK_KEYS // n_anchors)
+    starts = range(0, n, block)
 
-    def work(lo: int, hi: int) -> None:
-        for b in range(lo * block, min(hi * block, n), block):
-            e = min(b + block, n)
-            key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr)
-            _stable_argsort_rows(key, dist_ids[b:e])
+    def rank(b: int) -> None:
+        e = min(b + block, n)
+        key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr)
+        _stable_argsort_rows(key, dist_ids[b:e])
 
-    _run_chunked(-(-n // block), work)
+    workers = min(thread_cap(), len(starts))
+    if workers <= 1:
+        for b in starts:
+            rank(b)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(rank, starts))  # raises the lowest failing block's error
     return DistanceRanking(dist_ids, crossover)
 
 
@@ -558,7 +534,7 @@ def match_exact(cost) -> MatchAssignment:
 def cost_matrices(anchors, batch) -> list[np.ndarray]:
     """Per-image 1-IOU weight matrices for a geometric instance."""
     anchor_arr = as_box_array(anchors)
-    return [matching_distance_matrix(boxes, anchor_arr) for boxes in _per_image_boxes(batch)]
+    return [matching_distance_matrix(boxes, anchor_arr) for boxes in batch]
 
 
 def total_weight(a: MatchAssignment, cost) -> float:

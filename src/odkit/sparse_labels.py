@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidBoxError, InvalidSpecError
+from .geometry import InvalidSpecError, _check_box_values
 
 MAGIC = b"ODR1"
 
@@ -100,7 +100,8 @@ class LabelRecord:
 
 def _check_values(image_w, image_h, boxes, classes, counts=None):
     """The checks of :class:`LabelRecord` after ``image_id``, in its order:
-    raise ValueError for the first that fails.
+    raise ValueError for the first that fails (for a box value, its
+    subclass :class:`~odkit.geometry.InvalidBoxError`).
 
     Checks one record, or, given per-record box ``counts``, a block of
     records: then ``image_w`` and ``image_h`` are per-record arrays, and
@@ -116,12 +117,9 @@ def _check_values(image_w, image_h, boxes, classes, counts=None):
         raise ValueError("box count exceeds u16")
     if classes.size and (classes.min() < 0 or classes.max() > _U16_MAX):
         raise ValueError("class ids outside u16 range")
-    if not np.isfinite(boxes).all():
-        raise ValueError("non-finite box coordinates")
     if boxes.size:
+        _check_box_values(boxes)
         centers, sizes = boxes[:, :2], boxes[:, 2:]
-        if (sizes <= 0).any():
-            raise ValueError("non-positive box dimensions")
         s = _BOUNDS_SLACK
         if block:  # each box against its own record's image
             limits = np.repeat(np.stack([image_w, image_h], axis=1), counts, axis=0) + s
@@ -182,10 +180,7 @@ class SparseLabelBatch:
             a, b = self.rois_idx[:-1], self.rois_idx[1:]
             if ((a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))).any():
                 raise CorruptBatchError("rois_idx is not lexicographically sorted")
-        if not np.isfinite(self.rois_values).all():
-            raise InvalidBoxError("non-finite box coordinates")
-        if (self.rois_values[:, 2:] <= 0).any():
-            raise InvalidBoxError("non-positive box dimensions")
+        _check_box_values(self.rois_values)
 
     def offsets(self) -> np.ndarray:
         """CSR row offsets of a validated batch: image ``i``'s boxes are

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -301,8 +303,8 @@ def crowded_instance(seed):
 
 
 def one_row_blocks(monkeypatch):
-    """build_rankings hands threads whole row blocks; one-row blocks let
-    a few boxes still split across worker threads."""
+    """build_rankings hands its thread pool whole row blocks; one-row
+    blocks let a few boxes still spread over the pool's threads."""
     monkeypatch.setattr(matching, "_RANK_BLOCK_KEYS", 1)
 
 
@@ -632,8 +634,8 @@ class TestMatchParallel:
 
 
 class TestWorkerErrors:
-    """An exception in any worker chunk reaches the caller; the fault sits
-    in the last chunk, which runs on a worker thread whenever threads > 1."""
+    """An exception in any row block reaches the caller; the fault sits in
+    the last block, which runs on a pool thread whenever threads > 1."""
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_build_rankings_raises_bad_box(self, monkeypatch, threads):
@@ -656,20 +658,70 @@ class TestWorkerErrors:
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("failing", ["last", "all"])
     def test_run_chunked_reraises_worker_error(self, monkeypatch, threads, failing):
+        """build_rankings raises the lowest failing block's error, whichever
+        block fails first, and ranks no block twice."""
         monkeypatch.setenv("ODF_THREADS", threads)
-        covered = np.zeros(7, dtype=int)
+        one_row_blocks(monkeypatch)
+        anchors = small_grid()
+        boxes = np.array([[20.0 + 8 * i, 20, 8, 8] for i in range(7)])
+        # a block's first argument tells which it is: its box, or its key
+        firsts = {"_rank_key": boxes, "_stable_argsort_rows": matching._rank_key(boxes, anchors)[0]}
+        for name, rows in firsts.items():
+            real, ran = getattr(matching, name), []
 
-        def fn(lo, hi):
-            covered[lo:hi] += 1
-            if failing == "all" or hi == 7:
-                raise RuntimeError(f"chunk at {lo}")
+            def stub(first, *rest, rows=rows, real=real, ran=ran):
+                i = next(i for i, row in enumerate(rows) if np.array_equal(row, first[0]))
+                ran.append(i)
+                if failing == "all" or i == 6:
+                    raise RuntimeError(f"block {i}")
+                return real(first, *rest)
 
-        with pytest.raises(RuntimeError) as e:
-            matching._run_chunked(7, fn)
-        starts = {"1": [0], "2": [0, 3], "3": [0, 2, 4]}[threads]
-        # the lowest failing chunk's error, whatever the scheduling
-        assert str(e.value) == f"chunk at {starts[0] if failing == 'all' else starts[-1]}"
-        assert covered.tolist() == [1] * 7  # every chunk ran
+            with monkeypatch.context() as mp:
+                mp.setattr(matching, name, stub)
+                with pytest.raises(RuntimeError) as e:
+                    build_rankings(anchors, to_sparse([box[None] for box in boxes]))
+            assert str(e.value) == ("block 0" if failing == "all" else "block 6")
+            assert len(ran) == len(set(ran))
+            assert 0 in ran and (failing == "all" or sorted(ran) == list(range(7)))
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_pool_threads_end_with_the_call(self, monkeypatch, failing):
+        monkeypatch.setenv("ODF_THREADS", "3")
+        one_row_blocks(monkeypatch)
+        real, during = matching._rank_key, []
+
+        def counting(boxes, anchor_arr):
+            during.append(threading.active_count())
+            if failing and boxes[0, 0] > 40:
+                raise RuntimeError("bad block")
+            return real(boxes, anchor_arr)
+        monkeypatch.setattr(matching, "_rank_key", counting)
+        sparse = to_sparse([np.array([[20.0 + 8 * i, 20, 8, 8]]) for i in range(7)])
+        before = threading.active_count()
+        if failing:
+            with pytest.raises(RuntimeError):
+                build_rankings(small_grid(), sparse)
+        else:
+            build_rankings(small_grid(), sparse)
+        assert max(during) > before  # the blocks ran on pool threads
+        assert threading.active_count() == before
+
+    def test_many_threads_under_fast_switching(self, monkeypatch):
+        # 112 one-row blocks on 8 pool threads, switched every microsecond
+        one_row_blocks(monkeypatch)
+        anchors, batch = crowded_instance(5)
+        sparse = to_sparse(batch)
+        monkeypatch.setenv("ODF_THREADS", "1")
+        want = build_rankings(anchors, sparse)
+        monkeypatch.setenv("ODF_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = build_rankings(anchors, sparse)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.dist_ids, want.dist_ids)
+        assert np.array_equal(got.crossover, want.crossover)
 
 
 class TestPermutationRankings:
@@ -764,13 +816,13 @@ BAD_ROWS = [(20.0, 20, -4, 8), (20.0, 20, 8, 0), (np.nan, 20, 8, 8), (20.0, np.i
 
 class TestBadBoxesAtTheBoundary:
     """SparseLabelBatch.validate rejects bad box values, so the matchers
-    raise before any worker chunk starts."""
+    raise before any row block is ranked."""
 
     @staticmethod
     def _no_workers(monkeypatch):
-        def fail(n, fn):
-            raise AssertionError("worker chunks started")
-        monkeypatch.setattr(matching, "_run_chunked", fail)
+        def fail(boxes, anchor_arr):
+            raise AssertionError("a row block was ranked")
+        monkeypatch.setattr(matching, "_rank_key", fail)
 
     @pytest.mark.parametrize("bad", BAD_ROWS)
     def test_build_rankings(self, monkeypatch, bad):

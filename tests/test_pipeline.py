@@ -16,6 +16,7 @@ from odkit import (
     model_throughput,
     run_pipeline,
 )
+from odkit import pipeline
 from odkit.pipeline import config_from_obj, format_report, report_to_obj
 
 RECORDS = gen_synthetic(seed=2, n_images=80, max_boxes=4, image_w=96, image_h=96)
@@ -255,7 +256,25 @@ class TestCompare:
         assert cmp.predicted_speedup == pytest.approx(1.8)
         assert cmp.speedup == pytest.approx(1.8, rel=0.2)
 
-    def test_colocation_beats_transfer_heavy_layout(self):
+    def test_colocation_beats_transfer_heavy_layout(self, monkeypatch):
+        real_sleep, real_run = time.sleep, pipeline.run_pipeline
+        sleeps = []  # (wake time, how late it woke) per sleep of the current run
+        late_ms = []  # per run, how late its last sleep to wake woke
+
+        def timed_sleep(s):
+            t0 = time.perf_counter()
+            real_sleep(s)
+            t1 = time.perf_counter()
+            sleeps.append((t1, t1 - t0 - s))
+
+        def timed_run(*args, **kwargs):
+            sleeps.clear()
+            r = real_run(*args, **kwargs)
+            late_ms.append(max(sleeps)[1] * 1000)
+            return r
+
+        monkeypatch.setattr(time, "sleep", timed_sleep)
+        monkeypatch.setattr(pipeline, "run_pipeline", timed_run)
         layout_a = PipelineConfig(
             stages=[StageSpec("load", fixed_ms=6),
                     StageSpec("net", fixed_ms=4, placement="accelerator",
@@ -270,7 +289,10 @@ class TestCompare:
         cmp = compare_pipelines(layout_a, layout_b, RECORDS)
         # A pays 6 + (4+3) + (5+3) = 21 serially; B pays its 6 ms bottleneck
         assert cmp.predicted_speedup == pytest.approx(21 / 6)
-        assert cmp.speedup == pytest.approx(cmp.predicted_speedup, rel=0.2)
+        # Both run 15 batches, so the speedup is A's wall time over B's. No
+        # later sleep absorbs the host's own lateness on a run's last sleep.
+        wall_a, wall_b = (r.wall_ms - late for r, late in zip((cmp.report_a, cmp.report_b), late_ms))
+        assert wall_a / wall_b == pytest.approx(cmp.predicted_speedup, rel=0.2)
 
 
 class TestJsonInterface:

@@ -25,7 +25,7 @@ from odkit import (
 )
 import odkit.sparse_labels
 import oracles
-from odkit.geometry import InvalidBoxError, InvalidSpecError
+from odkit.geometry import InvalidBoxError, InvalidSpecError, as_box_array
 from odkit.sparse_labels import _BLOCK_BYTES
 from oracles import per_record_read_records, struct_write_records
 
@@ -102,6 +102,15 @@ class TestLabelRecord:
             LabelRecord(2**64, 10, 10, np.empty((0, 4)), np.empty(0, np.int64))
         with pytest.raises(ValueError):
             LabelRecord(0, 2**16, 10, np.empty((0, 4)), np.empty(0, np.int64))
+
+    @pytest.mark.parametrize("bad", BAD_BOXES)
+    def test_bad_box_values_raise_as_in_geometry(self, bad):
+        batch = SparseLabelBatch(rois_idx=np.zeros((1, 2), np.int64), rois_values=[bad],
+                                 classes=np.zeros(1, np.int64), batch_size=1)
+        errors = [_error(lambda: _rec(0, [bad], [0])), _error(batch.validate),
+                  _error(lambda: as_box_array([bad]))]
+        assert errors[0][0] is InvalidBoxError
+        assert errors == [errors[0]] * 3
 
     def test_equality(self):
         a = _rec(1, [(10, 10, 4, 4)], [2])
