@@ -18,11 +18,17 @@ Box coordinates are stored as float32; a record round-trips exactly when
 its coordinates are float32-representable. A record's length field and
 header also take 18 bytes, so a run of records is one numpy array of the
 18-byte box layout: its header row, then its box rows, record after
-record. Reading and writing go by blocks of about 64 KiB of records, and
-memory use is bounded by one block: 64 KiB plus the record that fills it.
-The records read from one block share that block's box and class arrays:
-each record's ``boxes`` and ``classes`` are slices of them, so a record
-kept alive keeps its whole block's arrays.
+record. Writing packs blocks of about 64 KiB of records as one such array.
+Reading takes the file in reads of 64 KiB: one walk over the record heads
+in a read finds every record that is whole in it, and those records'
+rows are parsed and checked as one array, a block. A record cut by the
+end of a read is carried into the next one. Only a record the walk cannot
+take, one longer than a read or malformed, is framed on its own, with one
+more bounded read; then the walk goes on. Memory use is bounded by one
+block or read (64 KiB) plus the record that fills it. The records read in
+one block share that block's box and class arrays: each record's
+``boxes`` and ``classes`` are slices of them, so a record kept alive keeps
+its whole block's arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ _HEAD = struct.Struct("<QHHH")   # image_id, image_w, image_h, num_boxes
 _BOX = struct.Struct("<ffffH")   # x, y, w, h, class
 _BOX_DTYPE = np.dtype([("b", "<f4", (4,)), ("c", "<u2")])  # the same 18 bytes
 _LEN = struct.Struct("<I")
+_ROW = struct.Struct("<I12xH")   # a record's length field and box count
 # a record's length field and header, the same 18 bytes as a box row
 _HEAD_ROW = np.dtype([("len", "<u4"), ("id", "<u8"), ("w", "<u2"), ("h", "<u2"), ("n", "<u2")])
 
@@ -47,7 +54,7 @@ _U16_MAX = 0xFFFF
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
 # slack absorbs float32 storage and mirror-arithmetic rounding
 _BOUNDS_SLACK = 1e-3
-# records are read, checked and written in blocks of at least this many bytes
+# the file is read this many bytes at a time, and written in blocks of at least as many
 _BLOCK_BYTES = 1 << 16
 # the longest payload a record can have: its header and 65,535 boxes
 _MAX_PAYLOAD = _HEAD.size + _U16_MAX * _BOX.size
@@ -311,79 +318,110 @@ def write_records(path, records) -> int:
     return n + len(block)
 
 
-def _parse(f):
-    """Split the records after the magic, checking each one's framing.
-
-    Yields ``(image_id, image_w, image_h, num_boxes, raw)`` per record,
-    ``raw`` being its length field and payload.
+def _walk(data) -> tuple[list[int], int]:
+    """The records at the start of ``data`` that the walk takes: each whole
+    in ``data``, with a length field of ``14 + 18 * num_boxes``. Returns
+    their box counts and the byte offset where the walk stopped, at the
+    first record it cannot take or at the end of ``data``.
     """
-    offset = len(MAGIC)
-    while True:
-        head = f.read(_LEN.size)
-        if not head:
-            return
-        if len(head) < _LEN.size:
+    unpack, size, head, box = _ROW.unpack_from, len(data), _HEAD.size, _BOX.size
+    counts, pos, last = [], 0, size - _ROW.size
+    while pos <= last:
+        plen, nb = unpack(data, pos)
+        end = pos + _LEN.size + plen
+        if plen != head + box * nb or end > size:
+            break
+        counts.append(nb)
+        pos = end
+    return counts, pos
+
+
+def _finish_record(f, rest, offset):
+    """The one record at byte ``offset`` that the walk cannot take: it
+    crosses the end of the bytes read so far, or is malformed.
+
+    ``rest`` holds the bytes read from ``offset`` on. The record is framed
+    as one read on its own would frame it: a malformed one raises
+    :class:`RecordCorruptionError` at that offset, and a whole one is
+    finished with one bounded read and returned as its length field and
+    payload. Returns None at the end of the file.
+    """
+    if len(rest) < _LEN.size:
+        rest += f.read(_LEN.size - len(rest))
+        if not rest:
+            return None
+        if len(rest) < _LEN.size:
             raise RecordCorruptionError("truncated record length", offset)
-        (plen,) = _LEN.unpack(head)
-        offset += _LEN.size
-        if plen > _MAX_PAYLOAD:
-            _reject_long_payload(f, plen, offset)
-        payload = f.read(plen)
-        if len(payload) < plen:
+    (plen,) = _LEN.unpack_from(rest)
+    offset += _LEN.size
+    if plen > _MAX_PAYLOAD:
+        _reject_long_payload(f, rest[_LEN.size:], plen, offset)
+    size = _LEN.size + plen
+    record = rest[:size]
+    if len(record) < size:
+        record += f.read(size - len(record))
+        if len(record) < size:
             raise RecordCorruptionError("truncated record payload", offset)
-        if plen < _HEAD.size:
-            raise RecordCorruptionError("payload shorter than record header", offset)
-        image_id, image_w, image_h, nb = _HEAD.unpack_from(payload, 0)
-        if plen != _HEAD.size + nb * _BOX.size:
-            raise RecordCorruptionError(
-                f"payload length {plen} does not match {nb} boxes", offset)
-        offset += plen
-        yield image_id, image_w, image_h, nb, head + payload
+    if plen < _HEAD.size:
+        raise RecordCorruptionError("payload shorter than record header", offset)
+    nb = _HEAD.unpack_from(record, _LEN.size)[3]
+    if plen != _HEAD.size + nb * _BOX.size:
+        raise RecordCorruptionError(f"payload length {plen} does not match {nb} boxes", offset)
+    return record
 
 
-def _reject_long_payload(f, plen, offset):
+def _reject_long_payload(f, payload, plen, offset):
     """Raise the error a read of ``plen`` bytes, more than any record holds,
-    leads to, reading on in pieces of bounded size to tell a truncated
-    payload from one whose length does not match its box count."""
-    head = f.read(_HEAD.size)
-    left = plen - len(head)
+    leads to. ``payload`` holds the bytes of it already read; the rest are
+    read on in pieces of bounded size to tell a truncated payload from one
+    whose length does not match its box count."""
+    head, left = payload[:_HEAD.size], plen - len(payload)
     while left and (piece := f.read(min(left, _BLOCK_BYTES))):
         left -= len(piece)
+        head += piece[:_HEAD.size - len(head)]
     if left:
         raise RecordCorruptionError("truncated record payload", offset)
     nb = _HEAD.unpack(head)[3]
     raise RecordCorruptionError(f"payload length {plen} does not match {nb} boxes", offset)
 
 
-def _block_records(block):
-    """Records from a block of parsed ones, their values checked at once.
+def _block_records(data, end, counts):
+    """Records from the whole records in ``data[:end]``, whose box counts
+    are ``counts``, their values checked at once.
 
-    A block that fails the checks is built again through the public
-    constructor, one record at a time, which raises at its first bad record.
+    The records' rows become one array; a block that fails the checks is
+    built again through the public constructor, one record at a time,
+    which raises at its first bad record.
     """
-    if not block:
-        return
-    ids, ws, hs, counts, raws = zip(*block)
-    n_boxes = np.array(counts)
-    rows = np.frombuffer(b"".join(raws), dtype=_BOX_DTYPE)[_box_rows(n_boxes)]
-    boxes, classes = rows["b"].astype(np.float64), rows["c"].astype(np.int64)
+    n_boxes = np.array(counts, dtype=np.int64)
+    rows = np.frombuffer(data, dtype=_BOX_DTYPE, count=end // _BOX.size)
+    is_box = _box_rows(n_boxes)
+    heads, box_rows = rows.view(_HEAD_ROW)[~is_box], rows[is_box]
+    boxes, classes = box_rows["b"].astype(np.float64), box_rows["c"].astype(np.int64)
     try:
-        _check_values(np.array(ws), np.array(hs), boxes, classes, n_boxes)
+        _check_values(heads["w"], heads["h"], boxes, classes, n_boxes)
         make = _unchecked_record
     except ValueError:
         make = LabelRecord
-    lo = 0
-    for image_id, image_w, image_h, n in zip(ids, ws, hs, counts):
-        yield make(image_id, image_w, image_h, boxes[lo:lo + n], classes[lo:lo + n])
-        lo += n
+    ends = np.cumsum(n_boxes)
+    for image_id, image_w, image_h, lo, hi in zip(
+            heads["id"].tolist(), heads["w"].tolist(), heads["h"].tolist(),
+            (ends - n_boxes).tolist(), ends.tolist()):
+        yield make(image_id, image_w, image_h, boxes[lo:hi], classes[lo:hi])
 
 
 def read_records(path):
     """Yield records from an ODR1 file, in file order.
 
-    Records are parsed and checked by blocks of about 64 KiB; the records
-    of one block share its box and class arrays. Raises
-    :class:`RecordFormatError` on a bad magic,
+    The file is read 64 KiB at a time. A walk over the record heads in
+    each read takes every record that is whole in it, and their rows are
+    parsed and checked as one block; the records of one block share its
+    box and class arrays. The unfinished record at a read's end is carried
+    into the next read. A record the walk cannot take, because it is
+    longer than a read or malformed, is framed on its own, then the walk
+    goes on. Memory is bounded by one read plus the record that fills it.
+
+    Raises :class:`RecordFormatError` on a bad magic,
     :class:`RecordCorruptionError` (carrying the byte offset) on truncation
     or an inconsistent payload length, and the constructor's ValueError on
     a bad value; every record before the bad one, or before a failed read,
@@ -393,19 +431,25 @@ def read_records(path):
         magic = f.read(4)
         if magic != MAGIC:
             raise RecordFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        block, size, error = [], 0, None
-        try:
-            for parsed in _parse(f):
-                block.append(parsed)
-                size += len(parsed[-1])
-                if size >= _BLOCK_BYTES:
-                    full, block, size = block, [], 0
-                    yield from _block_records(full)
-        except Exception as e:  # raised after the records parsed before it, if any are pending
-            error = e
-        yield from _block_records(block)
-        if error is not None:
-            raise error
+        tail, offset = b"", len(MAGIC)
+        while True:
+            try:
+                data = tail + f.read(_BLOCK_BYTES)
+            except OSError:
+                # the records before the tail are yielded; the next one is
+                # read on its own, so its reads raise the error at its place
+                data = tail
+            else:
+                if not data:
+                    return
+            counts, end = _walk(data)
+            if not end:  # the first record crosses the end of data, or is malformed
+                data = _finish_record(f, data, offset)
+                if data is None:
+                    return
+                counts, end = _walk(data)
+            yield from _block_records(data, end, counts)
+            tail, offset = data[end:], offset + end
 
 
 def gen_synthetic(seed: int, n_images: int, max_boxes: int, image_w: int, image_h: int,

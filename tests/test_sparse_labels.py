@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import struct
 import tempfile
 import tracemalloc
@@ -423,8 +424,69 @@ def _spoil(data, recs, k, kind):
     return bytes(buf)
 
 
-BAD_READS = ["nan", "zero size", "out of bounds", "image_w = 0", "long length",
-             "short length", "truncated length", "truncated payload"]
+BAD_VALUES = ["nan", "zero size", "out of bounds", "image_w = 0"]
+BAD_FRAMES = ["long length", "short length", "truncated length", "truncated payload"]
+BAD_READS = BAD_VALUES + BAD_FRAMES
+
+
+def _record_starts(recs):
+    """The file offset of each record's length field, then of the file's end."""
+    return 4 + 18 * np.cumsum([0] + [1 + len(rec.boxes) for rec in recs])
+
+
+def _read_edges(recs):
+    """The first record that a read boundary cuts in each part it can cut:
+    "length" (its length field), "header", "rows" (its box rows), or
+    "start" (the boundary falls just before it). Reads go by
+    ``_BLOCK_BYTES`` from the end of the magic while no record is longer
+    than a read."""
+    starts = _record_starts(recs)
+    edges = {}
+    for at in range(4 + _BLOCK_BYTES, int(starts[-1]), _BLOCK_BYTES):
+        k = int(np.searchsorted(starts, at, side="right")) - 1
+        cut = at - starts[k]
+        part = "start" if cut == 0 else "length" if cut < 4 else "header" if cut < 18 else "rows"
+        edges.setdefault(part, k)
+    return edges
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_records():
+    """Records over ten reads, with read boundaries in each part of a record.
+
+    The j-th boundary lies ``16 * j % 18`` bytes into an 18-byte row, so
+    only the 8th can cut a length field and only the 9th can fall between
+    records. Zero-box records put in before the record at the 1st, 8th and
+    9th boundaries move its header row onto the boundary."""
+    recs = gen_synthetic(seed=5, n_images=2300, max_boxes=30, image_w=64, image_h=48)
+    for j in (1, 8, 9):
+        rows = np.cumsum([0] + [1 + len(rec.boxes) for rec in recs])
+        at = j * _BLOCK_BYTES // 18  # the row the boundary falls in
+        k = int(np.searchsorted(rows, at, side="right")) - 1
+        recs[k:k] = [LabelRecord(10**6 + n, 64, 48, np.empty((0, 4)), np.empty(0))
+                     for n in range(at - rows[k])]
+    with tempfile.TemporaryDirectory() as d:
+        struct_write_records(Path(d) / "s.odr", recs)
+        data = (Path(d) / "s.odr").read_bytes()
+    return tuple(recs), data
+
+
+def _tiled(image_id, n):
+    """A record of ``n`` equal boxes."""
+    return LabelRecord(image_id, 64, 48, np.tile([[32.0, 24, 4, 4]], (n, 1)), np.arange(n) % 3)
+
+
+def _framing_calls(monkeypatch):
+    """The offsets of the records that ``read_records`` frames on its own,
+    filled in as it reads."""
+    calls, finish = [], odkit.sparse_labels._finish_record
+
+    def counted(f, rest, offset):
+        calls.append(offset)
+        return finish(f, rest, offset)
+
+    monkeypatch.setattr(odkit.sparse_labels, "_finish_record", counted)
+    return calls
 
 
 class TestBlockReads:
@@ -456,6 +518,47 @@ class TestBlockReads:
         assert error == want_error
         assert got == want
 
+    def test_clean_file_across_read_edges(self, tmp_path, monkeypatch):
+        recs, data = _edge_records()
+        assert sorted(_read_edges(recs)) == ["header", "length", "rows", "start"]
+        path = tmp_path / "c.odr"
+        path.write_bytes(data)
+        calls = _framing_calls(monkeypatch)
+        assert list(read_records(path)) == list(recs) == list(per_record_read_records(path))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", BAD_READS)
+    def test_bad_record_at_read_edges(self, tmp_path, monkeypatch, kind):
+        recs, clean = _edge_records()
+        starts = _record_starts(recs)
+        path = tmp_path / "b.odr"
+        calls = _framing_calls(monkeypatch)
+        for part, k in _read_edges(recs).items():
+            path.write_bytes(_spoil(clean, recs, k, kind))
+            calls.clear()
+            got, error = _read_outcome(read_records, path)
+            want, want_error = _read_outcome(per_record_read_records, path)
+            assert want_error is not None and len(want) == k, part
+            assert error == want_error, part
+            assert got == want, part
+            # only a malformed record is framed on its own
+            assert calls == ([starts[k]] if kind in BAD_FRAMES else []), part
+
+    @pytest.mark.parametrize("kind", [None] + BAD_READS)
+    def test_longest_record_between_small_ones(self, tmp_path, monkeypatch, kind):
+        small, _ = _block_records(0)
+        recs = small[:300] + (_tiled(7, 65535),) + small[300:]
+        path = tmp_path / "l.odr"
+        struct_write_records(path, recs)
+        if kind is not None:
+            path.write_bytes(_spoil(path.read_bytes(), recs, 300, kind))
+        calls = _framing_calls(monkeypatch)
+        got, error = _read_outcome(read_records, path)
+        want, want_error = _read_outcome(per_record_read_records, path)
+        assert error == want_error and (error is None) == (kind is None)
+        assert got == want == list(recs[:300] if kind else recs)
+        assert calls == [_record_starts(recs)[300]]  # and no record after it
+
     def test_records_own_their_rows(self, tmp_path):
         recs, data = _block_records(0)
         path = tmp_path / "o.odr"
@@ -486,14 +589,23 @@ class _FailingReader:
         self._f.close()
 
 
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "before read edge",
+                                   "after read edge"])
 def test_failed_read_keeps_records_before(tmp_path, monkeypatch, where):
     recs, data = _block_records(2)
     path = tmp_path / "r.odr"
     path.write_bytes(data)
-    edges = _block_edges(recs)  # a block's first record, its last, the next's first, ...
-    k = {"first": edges[2], "middle": edges[2] + 5, "last": edges[3]}[where]
-    stop = 4 + sum(18 * (1 + len(rec.boxes)) for rec in recs[:k]) + 9  # inside record k
+    starts = _record_starts(recs)
+    if where.endswith("read edge"):
+        # the first read boundary cuts record k; reads fail just before or after it
+        at = 4 + _BLOCK_BYTES
+        k = int(np.searchsorted(starts, at)) - 1
+        stop = at - 1 if where.startswith("before") else at + 1
+        assert starts[k] < stop < starts[k + 1]
+    else:
+        edges = _block_edges(recs)  # a block's first record, its last, the next's first, ...
+        k = {"first": edges[2], "middle": edges[2] + 5, "last": edges[3]}[where]
+        stop = starts[k] + 9  # inside record k
     for module in (odkit.sparse_labels, oracles):
         monkeypatch.setattr(module, "open", lambda p, mode: _FailingReader(p, stop),
                             raising=False)
@@ -505,6 +617,46 @@ def test_failed_read_keeps_records_before(tmp_path, monkeypatch, where):
                 got.append(rec)
         outcomes.append(got)
     assert outcomes[0] == outcomes[1] == list(recs[:k])
+
+
+def test_read_makes_no_per_record_garbage(tmp_path):
+    # every object the collector tracks counts toward its next collection,
+    # which scans every record still alive; a read adds none but the records
+    recs, data = _block_records(1)
+    path = tmp_path / "g.odr"
+    path.write_bytes(data)
+    got, excess = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        start = gc.get_count()[0]
+        for rec in read_records(path):
+            got.append(rec)
+            excess.append(gc.get_count()[0] - start - len(got))
+    finally:
+        gc.enable()
+    assert got == list(recs)
+    assert max(excess) < 64
+
+
+@pytest.mark.parametrize("longest", [0, 65535], ids=["small records", "one 65,535-box record"])
+def test_read_memory_is_bounded_by_one_buffer(tmp_path, longest):
+    # records taken and dropped one by one, with one record of ``longest``
+    # boxes in the middle of a file longer than the bound, so that a reader
+    # holding the whole file exceeds it; around the long record, records of
+    # 1,000 boxes keep the file quick to read
+    bound = 16 * _BLOCK_BYTES + 8 * 18 * (1 + longest)
+    filler = [_tiled(1, 1000)] * 12 if longest else list(_block_records(0)[0])
+    reps = bound // (18 * sum(1 + len(rec.boxes) for rec in filler)) + 1
+    path = tmp_path / "m.odr"
+    n = write_records(path, filler * reps + [_tiled(7, longest)] + filler * reps)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in read_records(path)) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound < path.stat().st_size
 
 
 def _reassign(rec, kind):
