@@ -49,6 +49,30 @@ def as_box_array(boxes) -> np.ndarray:
     of 4-tuples. Raises :class:`InvalidBoxError` on non-finite values or
     non-positive widths/heights.
     """
+    arr = _box_rows(boxes)
+    _check_box_values(arr)
+    return arr
+
+
+def _as_box_arrays(images) -> list[np.ndarray]:
+    """:func:`as_box_array` of each image's boxes, with one value check for
+    them all. A bad image raises the error that checking the images one by
+    one, in order, raises first."""
+    arrays = []
+    try:
+        for boxes in images:
+            arrays.append(_box_rows(boxes))
+        if arrays:
+            _check_box_values(np.concatenate(arrays))
+    except (ValueError, TypeError):
+        for arr in arrays:  # an earlier image's error comes first
+            _check_box_values(arr)
+        raise
+    return arrays
+
+
+def _box_rows(boxes) -> np.ndarray:
+    """``boxes`` as an (N, 4) float64 array, its values not yet checked."""
     if isinstance(boxes, np.ndarray) and boxes.ndim == 2 and boxes.shape[1] == 4:
         arr = boxes.astype(np.float64, copy=False)
     else:
@@ -56,7 +80,6 @@ def as_box_array(boxes) -> np.ndarray:
         arr = np.stack(rows) if rows else np.empty((0, 4), dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise InvalidBoxError(f"expected (N, 4) boxes, got shape {arr.shape}")
-    _check_box_values(arr)
     return arr
 
 
@@ -89,8 +112,12 @@ def iou_matrix(a, b) -> np.ndarray:
     corner and area vectors, so finite results are unchanged by it. The
     (N, M) work runs in three buffers, one of which is returned.
     """
-    a = as_box_array(a)
-    b = as_box_array(b)
+    return _iou_matrix(as_box_array(a), as_box_array(b))
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_matrix` of two (N, 4) float64 arrays that already passed
+    :func:`as_box_array`; only the overflow check runs here."""
     with np.errstate(over="ignore"):  # an overflow here raises below
         half_a, half_b = a[:, 2:] / 2, b[:, 2:] / 2
         lo_a, hi_a = a[:, :2] - half_a, a[:, :2] + half_a
@@ -130,8 +157,14 @@ def euclidean_distance(a, b) -> float:
 
 
 def euclidean_distance_matrix(a, b) -> np.ndarray:
-    a = as_box_array(a)
-    b = as_box_array(b)
+    """Pairwise L2 distance between the 4-vectors of ``a`` (N, 4) and
+    ``b`` (M, 4)."""
+    return _euclidean_distance_matrix(as_box_array(a), as_box_array(b))
+
+
+def _euclidean_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`euclidean_distance_matrix` of two (N, 4) float64 arrays that
+    already passed :func:`as_box_array`."""
     # one (N, M) column difference at a time, squared and added in
     # coordinate order in two buffers: the same floats as summing an
     # (N, M, 4) array over its last axis (the first square is its own sum)

@@ -14,7 +14,9 @@ All matchers are deterministic: every sort orders as a stable sort does,
 and ties always break toward the ascending anchor index. ``build_rankings``
 hands its row blocks to a thread pool of at most ``ODF_THREADS`` threads
 (default: hardware parallelism); no other matcher starts a thread, and
-results are identical for every thread count.
+results are identical for every thread count. Each public function checks
+its anchors and boxes once; the inner IOU and distance work runs on
+geometry's unchecked kernels.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .geometry import (
+# the matchers call geometry's unchecked kernels; the public distance
+# functions stay importable from here, where perfbench's traced run wraps them
+from .geometry import (  # noqa: F401
     InvalidSpecError,
+    _as_box_arrays,
+    _euclidean_distance_matrix,
+    _iou_matrix,
     as_box_array,
     euclidean_distance_matrix,
-    iou_matrix,
     matching_distance_matrix,
 )
 from .sparse_labels import SparseLabelBatch
@@ -141,13 +147,10 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _per_image_boxes(batch) -> list[np.ndarray]:
-    return [as_box_array(img) for img in batch]
-
-
 def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each box's anchor preference as one (N, A) key, lowest first, ties
     toward the lower index; and each box's count of overlapping anchors.
+    Both arrays must have passed ``as_box_array``.
 
     Overlapping anchors key as -iou in [-1, 0), the rest as their
     Euclidean distance, >= 0. IOUs are compared directly, not as 1-IOU,
@@ -155,42 +158,58 @@ def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np
     that overflow are capped at the largest float, so no key is +inf, the
     mark of a taken anchor; finite distances are below sqrt of that cap.
     The overflow is expected here, so it raises no warning, in this
-    thread or a worker. No key is NaN: ``iou_matrix`` raises first. The
-    key is built in the distance matrix's buffer.
+    thread or a worker. No key is NaN: ``_iou_matrix`` raises first. The
+    key is built in the distance matrix's buffer as ``d * (iou == 0) -
+    iou``, which is ``-iou`` or ``d`` exactly, since the capped ``d`` is
+    finite.
     """
-    iou = iou_matrix(boxes, anchor_arr)
+    iou = _iou_matrix(boxes, anchor_arr)
     with np.errstate(over="ignore"):
-        key = euclidean_distance_matrix(boxes, anchor_arr)
+        key = _euclidean_distance_matrix(boxes, anchor_arr)
     np.minimum(key, np.finfo(np.float64).max, out=key)
-    pos = iou > 0.0
-    np.copyto(key, np.negative(iou, out=iou), where=pos)
-    return key, np.count_nonzero(pos, axis=1)
+    free = iou == 0.0
+    np.multiply(key, free, out=key)
+    key -= iou
+    return key, key.shape[1] - np.count_nonzero(free, axis=1)
 
 
-def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> None:
-    """Write ``np.argsort(key, axis=1, kind="stable")`` into ``out``,
-    without the stable merge sort.
+def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> int:
+    """Write ``np.argsort(key, axis=1, kind="stable")`` into the int64
+    array ``out`` with one integer sort per row; return how many rows
+    needed the stable sort after all.
 
-    One default (SIMD) argsort orders each row; then each run of equal
-    keys is put back in index order by one integer sort of
-    ``run * A + index``, where ``run`` counts the runs up to a position.
-    Every (key, index) pair is distinct, so the result is the stable one
-    whatever order the argsort leaves ties in. ``key`` must hold no NaN,
-    which compares unequal to itself and so would split its run.
+    Each float64 key, ``+ 0.0`` to fold -0.0 into 0.0, maps to an int64 of
+    the same order: its bits, all but the sign flipped when it is negative.
+    The low ``b = (A - 1).bit_length()`` bits of that are replaced by the
+    column index and each row sorted once (numpy's SIMD integer sort); the
+    low ``b`` bits of the result are the ids. The row is then ordered by
+    (high bits, index). It is ordered by (key, index), the stable order,
+    when the keys gathered by its ids never decrease. A row where two
+    distinct keys agree above bit ``b`` may fail that check; the stable
+    argsort of its gathered keys then finishes it. Equal keys share their
+    high bits, so they already stand in index order there, which a stable
+    sort keeps, and the nearly sorted row costs it little. ``key`` must
+    hold no NaN and is left unchanged.
     """
-    a = key.shape[1]
-    itype = np.int32 if a * (a + 1) <= np.iinfo(np.int32).max else np.int64
-    order = np.argsort(key, axis=1)
-    sorted_key = np.take_along_axis(key, order, axis=1)
-    starts = np.empty(key.shape, dtype=bool)
-    starts[:, :1] = True
-    np.not_equal(sorted_key[:, 1:], sorted_key[:, :-1], out=starts[:, 1:])
-    run = np.cumsum(starts, axis=1, dtype=itype)
-    run *= a
-    tagged = order.astype(itype, copy=False)
-    tagged += run
-    tagged.sort(axis=1)
-    np.subtract(tagged, run, out=out)
+    n, a = key.shape
+    low = np.int64((1 << (a - 1).bit_length()) - 1)
+    bits = np.add(key, 0.0).view(np.int64)
+    np.right_shift(bits, 63, out=out)  # -1 where the key is negative, else 0
+    out &= np.iinfo(np.int64).max
+    bits ^= out  # all but the sign flipped where negative
+    np.bitwise_and(bits, ~low, out=out)
+    out |= np.arange(a)
+    out.sort(axis=1)
+    out &= low
+    # gather the keys by flat index, into the now free buffer of ``bits``
+    row_start = np.arange(n)[:, None] * a
+    out += row_start
+    got = np.take(key.ravel(), out, out=bits.view(np.float64), mode="clip")
+    out -= row_start
+    redo = np.flatnonzero((got[:, 1:] < got[:, :-1]).any(axis=1))
+    for r in redo:
+        out[r] = out[r, np.argsort(got[r], kind="stable")]
+    return len(redo)
 
 
 def _take_cheapest(key: np.ndarray, order) -> np.ndarray:
@@ -214,7 +233,7 @@ def match_serial(anchors, batch) -> MatchAssignment:
     one ``build_rankings`` sorts by (see ``_rank_key``).
     """
     anchor_arr = as_box_array(anchors)
-    per_image = _per_image_boxes(batch)
+    per_image = _as_box_arrays(batch)
     for idx, boxes in enumerate(per_image):
         if len(boxes) > len(anchor_arr):
             raise CapacityError(idx, len(boxes), len(anchor_arr))
@@ -258,16 +277,18 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     descending IOU, then the IOU-0 anchors by ascending Euclidean
     distance, ties toward the lower index. Rows are built a block of
     ``_RANK_BLOCK_KEYS`` keys at a time: ``_rank_key`` (the order
-    ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``,
-    which equals a stable sort, straight into the block's slice of
-    ``dist_ids``. A block's buffers stay in cache, and memory beyond the
-    result stays O(block x anchors). The blocks go to a pool of
-    ``min(thread_cap(), blocks)`` threads; a batch of one block, or a cap
-    of one, runs on the caller's thread. An error in a block reaches the
-    caller once the pool has shut down: the lowest failing block's, at
-    every thread count, and blocks not yet started when it happened may be
-    skipped. Rows are mutually independent, so the result is identical
-    regardless of evaluation order, block size or thread count.
+    ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``
+    (one integer sort of a composite key per row, equal to a stable sort)
+    straight into the block's slice of ``dist_ids``. Anchors and boxes are
+    checked once, before the blocks. A block's buffers stay in cache, and
+    memory beyond the result stays O(block x anchors). The blocks go to a
+    pool of ``min(thread_cap(), blocks)`` threads; a batch of one block,
+    or a cap of one, runs on the caller's thread. An error in a block
+    reaches the caller once the pool has shut down: the lowest failing
+    block's, at every thread count, and blocks not yet started when it
+    happened may be skipped. Rows are mutually independent, so the result
+    is identical regardless of evaluation order, block size or thread
+    count.
     """
     anchor_arr = as_box_array(anchors)
     n_anchors = len(anchor_arr)
@@ -534,7 +555,7 @@ def match_exact(cost) -> MatchAssignment:
 def cost_matrices(anchors, batch) -> list[np.ndarray]:
     """Per-image 1-IOU weight matrices for a geometric instance."""
     anchor_arr = as_box_array(anchors)
-    return [matching_distance_matrix(boxes, anchor_arr) for boxes in batch]
+    return [1.0 - _iou_matrix(boxes, anchor_arr) for boxes in _as_box_arrays(batch)]
 
 
 def total_weight(a: MatchAssignment, cost) -> float:
@@ -551,15 +572,19 @@ def total_weight(a: MatchAssignment, cost) -> float:
     return total
 
 
-def _paired_anchors(a: MatchAssignment, anchor_arr, rows, what: str) -> list[np.ndarray]:
-    """Per image, the anchor assigned to each of its rows; raises
+def _per_pair(fn, a: MatchAssignment, anchor_arr, rows, what: str) -> list[np.ndarray]:
+    """``fn(rows, anchors)`` on the rows of every image stacked, each beside
+    the anchor assigned to it, split back per image; raises
     ``MatchInconsistencyError`` unless ``a`` has one id per row."""
     if a.n_images != len(rows):
         raise MatchInconsistencyError(f"assignment covers {a.n_images} images, {what} {len(rows)}")
     for i, (ids, r) in enumerate(zip(a.anchor_ids, rows)):
         if len(ids) != len(r):
             raise MatchInconsistencyError(f"image {i}: {len(ids)} assignments for {len(r)} {what}")
-    return [anchor_arr[ids] for ids in a.anchor_ids]
+    if not rows:
+        return []
+    out = fn(np.concatenate(rows), anchor_arr[np.concatenate(a.anchor_ids)])
+    return np.split(out, np.cumsum([len(r) for r in rows[:-1]]))
 
 
 def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
@@ -568,31 +593,28 @@ def compute_deltas(a: MatchAssignment, anchors, batch) -> list[np.ndarray]:
     dx = (x - xa) / wa, dy = (y - ya) / ha, dw = ln(w / wa),
     dh = ln(h / ha), where (xa, ya, wa, ha) is the assigned anchor.
     Row g of image i is the target for ground-truth box g. Pure
-    element-wise arithmetic; evaluation order is irrelevant.
+    element-wise arithmetic, done once over the whole batch's rows.
     """
-    anchor_arr = as_box_array(anchors)
-    per_image = _per_image_boxes(batch)
-    out = []
-    for boxes, anc in zip(per_image, _paired_anchors(a, anchor_arr, per_image, "boxes")):
-        d = np.empty((len(boxes), 4), dtype=np.float64)
+    def deltas(boxes, anc):
+        d = np.empty_like(boxes)
         d[:, 0] = (boxes[:, 0] - anc[:, 0]) / anc[:, 2]
         d[:, 1] = (boxes[:, 1] - anc[:, 1]) / anc[:, 3]
         d[:, 2] = np.log(boxes[:, 2] / anc[:, 2])
         d[:, 3] = np.log(boxes[:, 3] / anc[:, 3])
-        out.append(d)
-    return out
+        return d
+    anchor_arr = as_box_array(anchors)
+    return _per_pair(deltas, a, anchor_arr, _as_box_arrays(batch), "boxes")
 
 
 def decode_deltas(a: MatchAssignment, anchors, deltas) -> list[np.ndarray]:
     """Invert :func:`compute_deltas`: recover center-form boxes."""
-    anchor_arr = as_box_array(anchors)
-    per_image = [np.asarray(d, dtype=np.float64).reshape(-1, 4) for d in deltas]
-    out = []
-    for d, anc in zip(per_image, _paired_anchors(a, anchor_arr, per_image, "delta rows")):
+    def boxes(d, anc):
         b = np.empty_like(d)
         b[:, 0] = anc[:, 0] + d[:, 0] * anc[:, 2]
         b[:, 1] = anc[:, 1] + d[:, 1] * anc[:, 3]
         b[:, 2] = anc[:, 2] * np.exp(d[:, 2])
         b[:, 3] = anc[:, 3] * np.exp(d[:, 3])
-        out.append(b)
-    return out
+        return b
+    anchor_arr = as_box_array(anchors)
+    per_image = [np.asarray(d, dtype=np.float64).reshape(-1, 4) for d in deltas]
+    return _per_pair(boxes, a, anchor_arr, per_image, "delta rows")

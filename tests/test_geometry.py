@@ -76,6 +76,56 @@ class TestBoxValidation:
             Box(0, float("inf"), 1, 1)
 
 
+GOOD = [[20.0, 20, 8, 8], [30.0, 10, 4, 6]]
+BAD_IMAGES = {
+    "nan": [[np.nan, 20, 8, 8]],
+    "zero width": [[20.0, 20, 0, 8]],
+    "nan and zero width": [[20.0, 20, -1, 8], [np.inf, 0, 1, 1]],
+    "shape": [[20.0, 20, 8]],
+    "ragged": [[20.0, 20, 8, 8], [1.0]],
+}
+
+
+def _first_error(images):
+    """The error ``as_box_array`` raises first, image by image."""
+    try:
+        for boxes in images:
+            geometry.as_box_array(boxes)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestBatchValidation:
+    """_as_box_arrays checks a batch's values once and raises what checking
+    its images one by one, in order, raises first."""
+
+    def test_equals_per_image_arrays(self):
+        images = [np.array(GOOD), [], [Box(1.0, 2, 3, 4)], np.array(GOOD, np.float32)]
+        got = geometry._as_box_arrays(images)
+        want = [geometry.as_box_array(boxes) for boxes in images]
+        assert all(g.dtype == np.float64 and np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(got) == len(want)
+        assert geometry._as_box_arrays([]) == []
+
+    @pytest.mark.parametrize("first", sorted(BAD_IMAGES))
+    @pytest.mark.parametrize("second", [None, *sorted(BAD_IMAGES)])
+    def test_first_bad_image_names_the_error(self, first, second):
+        images = [GOOD, BAD_IMAGES[first], GOOD] + ([BAD_IMAGES[second]] if second else [])
+        want = _first_error(images)
+        with pytest.raises((ValueError, TypeError)) as e:
+            geometry._as_box_arrays(images)
+        assert (type(e.value), str(e.value)) == want
+
+    def test_one_value_check(self, monkeypatch):
+        calls = []
+        real = geometry._check_box_values
+        monkeypatch.setattr(geometry, "_check_box_values",
+                            lambda boxes: calls.append(len(boxes)) or real(boxes))
+        geometry._as_box_arrays([GOOD] * 9)
+        assert calls == [18]
+
+
 class TestIou:
     def test_identity(self):
         assert iou(Box(5, 5, 2, 2), Box(5, 5, 2, 2)) == 1.0

@@ -30,7 +30,7 @@ from odkit import (
     match_serial_cost,
     total_weight,
 )
-from odkit import matching
+from odkit import cli, geometry, matching, sparse_labels
 from odkit.geometry import (
     InvalidBoxError,
     InvalidSpecError,
@@ -216,6 +216,40 @@ def _seed_build_rankings(anchors, rois):
     return np.argsort(key, axis=1, kind="stable"), np.count_nonzero(pos, axis=1)
 
 
+def _seed_compute_deltas(a, anchors, batch):
+    """compute_deltas before it ran once over the batch's stacked rows: one
+    image at a time. Frozen here as its bitwise reference."""
+    out = []
+    for boxes, ids in zip(batch, a.anchor_ids):
+        anc = anchors[ids]
+        d = np.empty((len(boxes), 4))
+        d[:, 0] = (boxes[:, 0] - anc[:, 0]) / anc[:, 2]
+        d[:, 1] = (boxes[:, 1] - anc[:, 1]) / anc[:, 3]
+        d[:, 2] = np.log(boxes[:, 2] / anc[:, 2])
+        d[:, 3] = np.log(boxes[:, 3] / anc[:, 3])
+        out.append(d)
+    return out
+
+
+def _seed_decode_deltas(a, anchors, deltas):
+    """decode_deltas one image at a time, frozen as its bitwise reference."""
+    out = []
+    for d, ids in zip(deltas, a.anchor_ids):
+        anc = anchors[ids]
+        b = np.empty_like(d)
+        b[:, 0] = anc[:, 0] + d[:, 0] * anc[:, 2]
+        b[:, 1] = anc[:, 1] + d[:, 1] * anc[:, 3]
+        b[:, 2] = anc[:, 2] * np.exp(d[:, 2])
+        b[:, 3] = anc[:, 3] * np.exp(d[:, 3])
+        out.append(b)
+    return out
+
+
+def _bitwise_equal(got, want) -> bool:
+    return (len(got) == len(want)
+            and all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)))
+
+
 YOLO_TEMPLATES = ((10, 13), (16, 30), (33, 23), (30, 61), (62, 45),
                   (59, 119), (116, 90), (156, 198), (373, 326))
 
@@ -365,6 +399,23 @@ class TestOneRankKey:
         assert ranking.dist_ids.tolist() == [[0, 1], [0, 1]]
         assert ranking.crossover.tolist() == [0, 0]
 
+    def test_key_at_the_float_cap(self):
+        # one row holds an overlapping anchor and one whose distance
+        # overflows to the cap: d * 0 - iou and d * 1 - 0 stay exact there
+        anchors = np.array([[10.0, 10, 4, 4], [1e160, 1e160, 1, 1], [30.0, 10, 4, 4]])
+        boxes = np.array([[11.0, 10, 4, 4]])
+        key, crossover = matching._rank_key(boxes, anchors)
+        iou = iou_matrix(boxes, anchors)[0]
+        with np.errstate(over="ignore"):
+            dist = euclidean_distance_matrix(boxes, anchors)[0]
+        assert np.isinf(dist[1])
+        assert key[0].tolist() == [-iou[0], np.finfo(np.float64).max, dist[2]]
+        assert 0 < iou[0] < 1 and crossover.tolist() == [1]
+        ranking = build_rankings(anchors, to_sparse([boxes]))
+        want_ids, want_crossover = _seed_build_rankings(anchors, to_sparse([boxes]))
+        assert ranking.dist_ids.tolist() == want_ids.tolist() == [[0, 2, 1]]
+        assert ranking.crossover.tolist() == want_crossover.tolist() == [1]
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_serial_equals_seed(self, seed):
@@ -482,6 +533,65 @@ class TestStableArgsortRows:
         out = np.empty(key.shape, dtype=np.int64)
         matching._stable_argsort_rows(key, out)
         assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
+
+
+def _ulps_away(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``x`` moved ``steps`` representable floats up (or down, if negative),
+    by repeated ``np.nextafter``."""
+    x = x.copy()
+    with np.errstate(over="ignore"):  # the largest float steps up to inf
+        for i in range(int(np.abs(steps).max(initial=0))):
+            up, down = steps > i, steps < -i
+            x[up] = np.nextafter(x[up], np.inf)
+            x[down] = np.nextafter(x[down], -np.inf)
+    return x
+
+
+NEAR_BASES = [-1.0, -0.25, 0.0, 1.0, 3.5, np.finfo(np.float64).max]
+
+
+@st.composite
+def near_tie_blocks(draw):
+    """A block of rows whose keys lie within 2**b floats of a few bases,
+    b = (A - 1).bit_length(): distinct keys there often share every bit the
+    composite sort keeps. Its first row must be re-sorted (a key one float
+    above the next one's, at the lower index), its second needs no re-sort."""
+    a = draw(st.integers(2, 48))
+    span = 1 << (a - 1).bit_length()
+    n = draw(st.integers(0, 6))
+    base = draw(arrays(np.float64, (n, a), elements=st.sampled_from(NEAR_BASES)))
+    steps = draw(arrays(np.int64, (n, a), elements=st.integers(-span, span)))
+    first = np.ones(a)
+    first[0] = np.nextafter(1.0, 2.0)
+    return np.vstack([first, np.zeros(a), _ulps_away(base, steps)])
+
+
+class TestCompositeRowSort:
+    """Where the composite key loses bits, the check catches it and the
+    stable sort finishes the row."""
+
+    @given(near_tie_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_near_ties_equal_stable_argsort(self, key):
+        out = np.empty(key.shape, dtype=np.int64)
+        redone = matching._stable_argsort_rows(key, out)
+        assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
+        assert 1 <= redone < len(key)
+
+    def test_one_ulp_iou_tie_of_seed_32(self):
+        # two anchors lie inside box 0 and box 1 of the first image: their
+        # exact IOUs tie, the computed ones differ by one ulp, and the
+        # larger one (anchor 12) outranks anchor 3 though its index is higher
+        anchors, batch = random_geometric_instance(np.random.default_rng(32))
+        boxes = batch[0]
+        key = matching._rank_key(boxes, anchors)[0]
+        assert np.nextafter(key[:, 12], 0.0).tolist() == key[:, 3].tolist()
+        out = np.empty(key.shape, dtype=np.int64)
+        assert matching._stable_argsort_rows(key, out) == 2
+        assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
+        assert out[:, :3].tolist() == [[0, 12, 3]] * 2
+        want_ids, _ = _seed_build_rankings(anchors, to_sparse(batch))
+        assert np.array_equal(build_rankings(anchors, to_sparse(batch)).dist_ids, want_ids)
 
 
 class TestRankingsEqualStableSort:
@@ -840,6 +950,51 @@ class TestBadBoxesAtTheBoundary:
             match_parallel(ranking, batch)
 
 
+def box_checks(monkeypatch, fn) -> int:
+    """How many box-value checks ``fn()`` makes, in geometry or
+    sparse_labels, from any thread."""
+    calls = []
+    real = geometry._check_box_values
+
+    def counting(boxes):
+        calls.append(len(boxes))
+        real(boxes)
+    with monkeypatch.context() as mp:
+        for module in (geometry, sparse_labels):
+            mp.setattr(module, "_check_box_values", counting)
+        fn()
+    return len(calls)
+
+
+class TestOneBoxCheckPerCall:
+    """Anchors and boxes are checked once per public call: the number of
+    box-value checks does not grow with row blocks or images."""
+
+    def test_build_rankings(self, monkeypatch):
+        monkeypatch.setenv("ODF_THREADS", "3")
+        one_row_blocks(monkeypatch)
+        anchors = small_grid()
+        counts = []
+        for n_images in (1, 2, 7):
+            sparse = to_sparse([np.array([[20.0 + 8 * i, 20, 8, 8]]) for i in range(n_images)])
+            counts.append(box_checks(monkeypatch, lambda: build_rankings(anchors, sparse)))
+        assert counts == [counts[0]] * 3
+
+    @pytest.mark.parametrize("algo", ["serial", "parallel", "greedy", "exact"])
+    def test_odkit_match(self, monkeypatch, tmp_path, algo):
+        counts = []
+        for n_images in (2, 16):
+            records = tmp_path / f"{n_images}.odr"
+            assert cli.main(["gen-data", "--images", str(n_images), "--max-boxes", "4",
+                             "--seed", "5", "--width", "96", "--height", "96",
+                             "--out", str(records)]) == 0
+            argv = ["match", "--algo", algo, "--records", str(records), "--grid", "3x3x2",
+                    "--image", "96x96", "--templates", "16x12,32x24",
+                    "--out", str(tmp_path / "m.jsonl")]
+            counts.append(box_checks(monkeypatch, lambda: cli.main(argv)))
+        assert counts[0] == counts[1]
+
+
 class TestMatchGreedy:
     def test_cost_instance(self):
         a = match_greedy_bipartite(COST_2X2)
@@ -1167,6 +1322,19 @@ class TestDeltas:
         back = decode_deltas(a, CE_ANCHORS, d)
         assert [x.shape for x in back] == [(0, 4), (3, 4), (0, 4)]
         assert np.allclose(back[1], CE_BOXES)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_per_image_reference(self, seed):
+        if seed % 3:
+            anchors, batch = any_instance(seed)
+        else:  # a YOLOv3 grid, 0-20 boxes in each of 8 images
+            rng = np.random.default_rng(seed)
+            anchors, batch = yolo_grid(), yolo_batch(rng, rng.integers(0, 21, 8), size_lo=2)
+        a = match_serial(anchors, batch)
+        d = compute_deltas(a, anchors, batch)
+        assert _bitwise_equal(d, _seed_compute_deltas(a, anchors, batch))
+        assert _bitwise_equal(decode_deltas(a, anchors, d), _seed_decode_deltas(a, anchors, d))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
