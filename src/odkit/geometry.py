@@ -76,8 +76,13 @@ def _box_rows(boxes) -> np.ndarray:
     if isinstance(boxes, np.ndarray) and boxes.ndim == 2 and boxes.shape[1] == 4:
         arr = boxes.astype(np.float64, copy=False)
     else:
-        rows = [b.as_array() if isinstance(b, Box) else np.asarray(b, dtype=np.float64) for b in boxes]
-        arr = np.stack(rows) if rows else np.empty((0, 4), dtype=np.float64)
+        rows = [(b.x, b.y, b.w, b.h) if isinstance(b, Box) else b for b in boxes]
+        try:
+            arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, 4), dtype=np.float64)
+        except (ValueError, TypeError):
+            # ragged or unconvertible rows: raise what converting and
+            # stacking them one by one raises
+            arr = np.stack([np.asarray(r, dtype=np.float64) for r in rows])
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise InvalidBoxError(f"expected (N, 4) boxes, got shape {arr.shape}")
     return arr
@@ -134,8 +139,8 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     iw -= tmp
     ih = np.minimum(hi_a[:, 1, None], hi_b[None, :, 1])
     ih -= np.maximum(lo_a[:, 1, None], lo_b[None, :, 1], out=tmp)
-    np.clip(iw, 0.0, None, out=iw)
-    np.clip(ih, 0.0, None, out=ih)
+    np.maximum(iw, 0.0, out=iw)
+    np.maximum(ih, 0.0, out=ih)
     inter = np.multiply(iw, ih, out=iw)
     union = np.add(area_a[:, None], area_b[None, :], out=ih)
     union -= inter

@@ -7,7 +7,8 @@ image to a distinct anchor, preferring high overlap.
 * ``match_parallel``     data-parallel reformulation built on per-box
                          distance rankings; in ``strict`` dedup mode it
                          reproduces ``match_serial`` exactly.
-* ``match_greedy_bipartite``  globally sorted edge list, greedy selection.
+* ``match_greedy_bipartite``  greedy selection in global (cost, box, anchor)
+                         edge order.
 * ``match_exact``        minimum-total-weight assignment (oracle).
 
 All matchers are deterministic: every sort orders as a stable sort does,
@@ -21,6 +22,7 @@ geometry's unchecked kernels.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -404,29 +406,40 @@ def match_greedy_bipartite(cost) -> MatchAssignment:
     ties by (box index, anchor index); edges are then taken greedily,
     skipping any that touch an already-matched box or anchor, until every
     box is matched.
+
+    That takes, each time, the least free edge in (cost, box, anchor)
+    order, which is found here without the full edge list: one stable
+    argsort per row orders each box's anchors by (cost, anchor), and a
+    heap holds one ``(cost, box)`` head per unmatched box. A head whose
+    anchor is taken is replaced by the box's next free anchor; its cost
+    is no lower, so the heap's least head is always a least free edge.
     """
     out = []
     for idx, c in enumerate(_as_cost_list(cost)):
         nb, na = c.shape
         if nb > na:
             raise CapacityError(idx, nb, na)
-        # the flat index is box-major, so a stable sort of the costs
-        # orders edges by (cost, box, anchor)
-        order = np.argsort(c, axis=None, kind="stable")
-        box_idx, anchor_idx = np.divmod(order, na)
-        box_done = np.zeros(nb, dtype=bool)
-        anchor_done = np.zeros(na, dtype=bool)
+        if nb == 0:
+            out.append(np.empty(0, dtype=np.int64))
+            continue
+        order = np.argsort(c, axis=1, kind="stable")
+        heads = list(zip(c[np.arange(nb), order[:, 0]].tolist(), range(nb)))
+        heapq.heapify(heads)
+        nxt = [0] * nb  # position in order[b] of box b's head
+        taken = bytearray(na)
         chosen = np.empty(nb, dtype=np.int64)
-        remaining = nb
-        for b, a in zip(box_idx.tolist(), anchor_idx.tolist()):
-            if box_done[b] or anchor_done[a]:
-                continue
-            chosen[b] = a
-            box_done[b] = True
-            anchor_done[a] = True
-            remaining -= 1
-            if remaining == 0:
-                break
+        while heads:
+            b = heads[0][1]
+            a = order[b, nxt[b]]
+            if taken[a]:
+                while taken[a]:
+                    nxt[b] += 1
+                    a = order[b, nxt[b]]
+                heapq.heapreplace(heads, (c[b, a].item(), b))
+            else:
+                heapq.heappop(heads)
+                chosen[b] = a
+                taken[a] = 1
         out.append(chosen)
     return MatchAssignment(out)
 
@@ -505,31 +518,35 @@ def _refine(c: np.ndarray, rc: np.ndarray, best: float, margin: float,
     and the witness's, up to rounding, so it would accept the same
     column. Any other column gets a Hungarian solve of the remaining
     rows, whose columns become the carry when it reaches ``best``. The
-    carry ends as the chosen columns.
+    carry ends as the chosen columns. The free columns are a mask, and
+    the remaining rows are gathered only for a solve, over the free
+    columns but the tried one.
     """
     nb = c.shape[0]
     rows = np.arange(nb)
-    avail = np.arange(c.shape[1])
+    free = np.ones(c.shape[1], dtype=bool)
     carry = carry.copy()
     prefix = prefix_rc = 0.0
     for g in range(nb):
-        trials = prefix + c[g, avail]
-        rest = c[g + 1:, avail]
-        for pos in np.flatnonzero(prefix_rc + rc[g, avail] <= margin):
-            if avail[pos] == carry[g]:
+        for j in ((prefix_rc + rc[g] <= margin) & free).nonzero()[0]:
+            trial = prefix + c[g, j]
+            if j == carry[g]:
                 witness = float(c[rows[g + 1:], carry[g + 1:]].sum())
-                if math.isclose(trials[pos] + witness, best, rel_tol=1e-12, abs_tol=1e-9):
+                if math.isclose(trial + witness, best, rel_tol=1e-12, abs_tol=1e-9):
                     break
-            total, cols = _hungarian(np.delete(rest, pos, axis=1))
-            if math.isclose(trials[pos] + total, best, rel_tol=1e-12, abs_tol=1e-9):
-                carry[g] = avail[pos]
-                carry[g + 1:] = np.delete(avail, pos)[cols]
+            free[j] = False
+            rest = free.nonzero()[0]
+            total, cols = _hungarian(c[g + 1:, rest])
+            if math.isclose(trial + total, best, rel_tol=1e-12, abs_tol=1e-9):
+                carry[g] = j
+                carry[g + 1:] = rest[cols]
                 break
+            free[j] = True
         else:  # numeric safety net; cannot trigger on exact ties
             raise MatchInconsistencyError("optimal refinement failed to extend prefix")
-        prefix = trials[pos]
-        prefix_rc += rc[g, avail[pos]]
-        avail = np.delete(avail, pos)
+        prefix = trial
+        prefix_rc += rc[g, j]
+        free[j] = False
     return carry
 
 
@@ -553,9 +570,17 @@ def match_exact(cost) -> MatchAssignment:
 
 
 def cost_matrices(anchors, batch) -> list[np.ndarray]:
-    """Per-image 1-IOU weight matrices for a geometric instance."""
+    """Per-image 1-IOU weight matrices for a geometric instance: one IOU
+    pass over every image's boxes stacked, split back into per-image row
+    slices of one array. IOU is elementwise, so each image gets the
+    floats it would get alone."""
     anchor_arr = as_box_array(anchors)
-    return [1.0 - _iou_matrix(boxes, anchor_arr) for boxes in _as_box_arrays(batch)]
+    per_image = _as_box_arrays(batch)
+    if not per_image:
+        return []
+    cost = _iou_matrix(np.concatenate(per_image), anchor_arr)
+    np.subtract(1.0, cost, out=cost)
+    return np.split(cost, np.cumsum([len(b) for b in per_image[:-1]]))
 
 
 def total_weight(a: MatchAssignment, cost) -> float:

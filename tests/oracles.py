@@ -4,12 +4,14 @@ Everything here is deliberately written by a different method than the
 library code: IOU by point counting instead of interval arithmetic,
 assignments by exhaustive enumeration instead of Hungarian/greedy
 selection, search baselines by plain uniform sampling. Slow is fine;
-these run at test scale only.
+these run at test scale only. The exception is the frozen earlier
+matcher code near the end, which faster rewrites must reproduce exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -138,6 +140,82 @@ def full_permutation_exact(cost: np.ndarray):
                                       and (best_tuple is None or perm < best_tuple)):
             best_total, best_tuple = t, perm
     return best_total, best_tuple
+
+
+# Earlier library code, frozen as it was before a faster rewrite that must
+# reproduce it exactly: the same picks, and for the exact matcher the same
+# Hungarian solves.
+
+def edge_scan_greedy(cost) -> list[int]:
+    """``match_greedy_bipartite`` on one matrix as a scan of every edge in
+    (cost, box, anchor) order."""
+    c = np.asarray(cost, dtype=np.float64)
+    nb, na = c.shape
+    # the flat index is box-major, so a stable sort of the costs
+    # orders edges by (cost, box, anchor)
+    order = np.argsort(c, axis=None, kind="stable")
+    box_idx, anchor_idx = np.divmod(order, na)
+    box_done = np.zeros(nb, dtype=bool)
+    anchor_done = np.zeros(na, dtype=bool)
+    chosen = np.empty(nb, dtype=np.int64)
+    remaining = nb
+    for b, a in zip(box_idx.tolist(), anchor_idx.tolist()):
+        if box_done[b] or anchor_done[a]:
+            continue
+        chosen[b] = a
+        box_done[b] = True
+        anchor_done[a] = True
+        remaining -= 1
+        if remaining == 0:
+            break
+    return chosen.tolist()
+
+
+def per_row_refine(c, rc, best, margin, carry, hungarian):
+    """``matching._refine`` with a copy of the remaining rows and columns
+    per row, each candidate solve cut from it by ``np.delete``;
+    ``hungarian`` solves (see ``matching._hungarian``)."""
+    nb = c.shape[0]
+    rows = np.arange(nb)
+    avail = np.arange(c.shape[1])
+    carry = carry.copy()
+    prefix = prefix_rc = 0.0
+    for g in range(nb):
+        trials = prefix + c[g, avail]
+        rest = c[g + 1:, avail]
+        for pos in np.flatnonzero(prefix_rc + rc[g, avail] <= margin):
+            if avail[pos] == carry[g]:
+                witness = float(c[rows[g + 1:], carry[g + 1:]].sum())
+                if math.isclose(trials[pos] + witness, best, rel_tol=1e-12, abs_tol=1e-9):
+                    break
+            total, cols = hungarian(np.delete(rest, pos, axis=1))
+            if math.isclose(trials[pos] + total, best, rel_tol=1e-12, abs_tol=1e-9):
+                carry[g] = avail[pos]
+                carry[g + 1:] = np.delete(avail, pos)[cols]
+                break
+        else:
+            raise AssertionError("optimal refinement failed to extend prefix")
+        prefix = trials[pos]
+        prefix_rc += rc[g, avail[pos]]
+        avail = np.delete(avail, pos)
+    return carry
+
+
+def per_row_exact(cost, hungarian=None) -> list[int]:
+    """``match_exact`` on one non-empty matrix, refined by
+    ``per_row_refine``; ``hungarian`` defaults to ``matching._hungarian``."""
+    from odkit import matching
+
+    hungarian = hungarian or matching._hungarian
+    c = np.asarray(cost, dtype=np.float64)
+    best, cols = hungarian(c)
+    tol = 1e-9 * max(1.0, abs(best))
+    margin = 4 * tol + 1e-12 * float(np.abs(c).sum())
+    rc = matching._reduced_costs(c, cols)
+    keep = np.flatnonzero(rc.min(axis=0) <= margin)
+    picks = per_row_refine(c[:, keep], rc[:, keep], best, margin,
+                           np.searchsorted(keep, cols), hungarian)
+    return keep[picks].tolist()
 
 
 def nms_reference(boxes, scores, classes, thresh: float) -> list[int]:

@@ -282,20 +282,20 @@ class TestHyperopt:
 
     def test_ask_tell_protocol_over_stdio(self, tmp_path):
         out = tmp_path / "t.jsonl"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "odkit.cli", "hyperopt", "--space",
-             "table3.json", "--budget", "6", "--ask-tell", "--seed", "2",
-             "--out", str(out)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        for _ in range(6):
-            line = proc.stdout.readline()
-            point = json.loads(line)
-            assert len(point) == 4
-            value = -sum((v - 1) ** 2 for v in point)
-            proc.stdin.write(f"tell {value}\n")
-            proc.stdin.flush()
-        proc.stdin.close()
-        assert proc.wait(timeout=30) == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "odkit.cli", "hyperopt", "--space",
+                 "table3.json", "--budget", "6", "--ask-tell", "--seed", "2",
+                 "--out", str(out)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+            for _ in range(6):
+                line = proc.stdout.readline()
+                point = json.loads(line)
+                assert len(point) == 4
+                value = -sum((v - 1) ** 2 for v in point)
+                proc.stdin.write(f"tell {value}\n")
+                proc.stdin.flush()
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
         assert len(out.read_text().splitlines()) == 6
 
     def test_ask_tell_bad_reply_is_data_error(self):

@@ -117,6 +117,39 @@ class TestBatchValidation:
             geometry._as_box_arrays(images)
         assert (type(e.value), str(e.value)) == want
 
+    @pytest.mark.parametrize("boxes", [
+        [Box(1.0, 2, 3, 4), (5, 6, 7, 8), np.array([9.0, 1, 2, 3]), [4, 5, 6, 7.5]],
+        [Box(1.0, 2, 3, 4)] * 3,
+        [(1, 2, 3, 4), Box(5.0, 6, 7, 8)],
+        [np.float32(1.5), 2, 3, 4],
+        [[[1.0, 2, 3, 4]]],
+        [Box(1.0, 2, 3, 4), (1, 2, 3)],
+        [Box(1.0, 2, 3, 4), None],
+        [(1, 2, 3, 4), ("a", 2, 3, 4)],
+        [(1, 2, 3, 4), {}],
+    ])
+    def test_rows_as_stacking_them_one_by_one(self, boxes):
+        # _box_rows builds the rows as one array; it must return and raise
+        # what converting each row and stacking them did
+        def stacked(rows):
+            rows = [b.as_array() if isinstance(b, Box) else np.asarray(b, dtype=np.float64)
+                    for b in rows]
+            arr = np.stack(rows)
+            if arr.ndim != 2 or arr.shape[1] != 4:
+                raise InvalidBoxError(f"expected (N, 4) boxes, got shape {arr.shape}")
+            return arr
+
+        try:
+            want = stacked(boxes)
+        except (ValueError, TypeError) as e:
+            with pytest.raises(type(e)) as got:
+                geometry._box_rows(iter(boxes))  # a one-pass iterable, too
+            assert str(got.value) == str(e)
+        else:
+            got = geometry._box_rows(iter(boxes))
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_one_value_check(self, monkeypatch):
         calls = []
         real = geometry._check_box_values
@@ -183,6 +216,19 @@ class TestIou:
         got = iou_matrix(a, b)
         want = _seed_iou_matrix(a, b)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_touching_and_disjoint_bitwise_equal_clip_formula(self, seed):
+        # even sides on an integer lattice: many pairs share an edge or a
+        # corner (a zero overlap) or lie apart (a negative one), which the
+        # kernel zeroes by np.maximum where the seed formula used np.clip
+        rng = np.random.default_rng(seed)
+        a, b = (np.column_stack([rng.integers(-6, 7, (n, 2)), 2 * rng.integers(1, 4, (n, 2))])
+                .astype(float) for n in rng.integers(1, 30, 2))
+        got = iou_matrix(a, b)
+        assert (got == 0).any()
+        assert np.array_equal(got.view(np.uint64), _seed_iou_matrix(a, b).view(np.uint64))
 
     def test_empty_side_gives_empty_matrix(self):
         assert iou_matrix(np.empty((0, 4)), [[0.0, 0, 1, 1]]).shape == (0, 1)

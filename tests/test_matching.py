@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from odkit.geometry import (
 )
 from oracles import (
     brute_force_exact,
+    edge_scan_greedy,
     full_permutation_exact,
+    per_row_exact,
     random_geometric_instance,
     serial_match_reference,
 )
@@ -1135,6 +1138,76 @@ class TestMatchExact:
         assert got == MatchAssignment(want)
         n_boxes = sum(len(c) for c in costs)
         assert len(solves) <= n_boxes // 2
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """Square or wide matrices of small integers of both signs, -0.0
+    among them, and zero rows: nearly every edge ties with another."""
+    nb = draw(st.integers(0, 6))
+    na = draw(st.integers(nb, 10))
+    return draw(arrays(np.float64, (nb, na),
+                       elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+
+
+TIE_EXAMPLES = [np.zeros((3, 3)), np.full((2, 5), -0.0), np.zeros((0, 4)), np.zeros((0, 0)),
+                np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]),
+                np.array([[1.0, -1, -1, 2], [0, 0, 0, 0], [-1, -1, 1, 1]])]
+
+
+def _equal_frozen_matchers(c):
+    """The heap-driven greedy matcher picks what the edge scan picks; the
+    copy-free refinement picks what the per-row refinement picks, after
+    the same ``_hungarian`` calls on bitwise-equal matrices."""
+    assert match_greedy_bipartite(c).anchor_ids[0].tolist() == edge_scan_greedy(c)
+    calls = {"new": [], "frozen": []}
+
+    def recorder(name):
+        real = matching._hungarian
+        return lambda m: calls[name].append(m.copy()) or real(m)
+
+    with mock.patch.object(matching, "_hungarian", recorder("new")):
+        got = match_exact(c).anchor_ids[0].tolist()
+    assert got == (per_row_exact(c, recorder("frozen")) if len(c) else [])
+    assert [m.shape for m in calls["new"]] == [m.shape for m in calls["frozen"]]
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(calls["new"], calls["frozen"]))
+
+
+class TestFrozenMatchers:
+    @given(tie_heavy_costs())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_costs(self, c):
+        _equal_frozen_matchers(c)
+
+    @pytest.mark.parametrize("c", TIE_EXAMPLES)
+    def test_tie_examples(self, c):
+        _equal_frozen_matchers(c)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_crowded_images(self, seed):
+        anchors, batch = crowded_instance(seed)
+        for c in cost_matrices(anchors, batch):
+            _equal_frozen_matchers(c)
+
+
+class TestCostMatrices:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_one_minus_iou_per_image(self, seed):
+        anchors, batch = crowded_instance(seed) if seed % 2 else random_geometric_instance(
+            np.random.default_rng(seed), max_images=6)
+        batch = [*batch[:2], np.empty((0, 4)), *batch[2:]]
+        got = cost_matrices(anchors, batch)
+        assert len(got) == len(batch)
+        for g, boxes in zip(got, batch):
+            want = 1.0 - iou_matrix(boxes, anchors)
+            assert g.shape == want.shape
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+    def test_empty_batch(self):
+        assert cost_matrices([[1.0, 2, 3, 4]], []) == []
+        got = cost_matrices([[1.0, 2, 3, 4]], [[], []])
+        assert [g.shape for g in got] == [(0, 1), (0, 1)]
 
 
 def _bound_instance(seed):
