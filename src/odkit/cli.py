@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import hyperopt as hp
 from . import matching, pipeline, sparse_labels
-from .geometry import GridSpec, InvalidBoxError, InvalidSpecError, build_anchor_grid
+from .geometry import GridSpec, InvalidSpecError, build_anchor_grid
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -71,20 +71,18 @@ def plan_transfer(layers: int) -> list[TransferPlanEntry]:
 
 # ------------------------------------------------------------ flag parsing
 
-def _parse_wh(text: str) -> tuple[int, int]:
-    try:
-        w, h = (int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
-    return w, h
-
-
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    try:
-        gw, gh, k = (int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected GWxGHxK, got {text!r}") from None
-    return gw, gh, k
+def _dims_parser(metavar: str):
+    """An argparse type for ``metavar``-shaped text: as many integers as
+    ``metavar`` names, joined by ``x``."""
+    def parse(text: str) -> tuple[int, ...]:
+        parts = text.lower().split("x")
+        if len(parts) == metavar.count("x") + 1:
+            try:
+                return tuple(int(p) for p in parts)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+    return parse
 
 
 def _parse_templates(text: str) -> tuple[tuple[float, float], ...]:
@@ -281,8 +279,8 @@ def build_parser() -> _Parser:
                    required=True)
     m.add_argument("--dedup", choices=("strict", "paper-literal"), default="strict")
     m.add_argument("--records", required=True)
-    m.add_argument("--grid", type=_parse_grid, required=True, metavar="GWxGHxK")
-    m.add_argument("--image", type=_parse_wh, required=True, metavar="WxH")
+    m.add_argument("--grid", type=_dims_parser("GWxGHxK"), required=True, metavar="GWxGHxK")
+    m.add_argument("--image", type=_dims_parser("WxH"), required=True, metavar="WxH")
     m.add_argument("--templates", type=_parse_templates, required=True,
                    metavar="W1xH1,W2xH2,...")
     m.add_argument("--out", required=True)
@@ -322,23 +320,14 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as e:
+    except (_UsageError, InvalidSpecError) as e:
+        # bad geometry/grid flags are usage problems, not data problems;
+        # InvalidSpecError is a ValueError, so this clause comes first
         print(f"odkit: error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (sparse_labels.RecordFormatError, sparse_labels.RecordCorruptionError,
-            sparse_labels.CorruptBatchError, pipeline.DataUnderrunError,
-            matching.CapacityError, matching.MatchInconsistencyError,
-            InvalidBoxError) as e:
+    except (OSError, ValueError, pipeline.DataUnderrunError) as e:
         print(f"odkit: error: {e}", file=sys.stderr)
         return DATA_ERROR
-    except InvalidSpecError as e:
-        # bad geometry/grid flags are usage problems, not data problems
-        print(f"odkit: error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as e:
-        print(f"odkit: error: {e}", file=sys.stderr)
-        return DATA_ERROR
-
 
 if __name__ == "__main__":
     sys.exit(main())

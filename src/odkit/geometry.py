@@ -158,7 +158,7 @@ def matching_distance_matrix(a, b) -> np.ndarray:
 
 def euclidean_distance(a, b) -> float:
     """L2 distance between the two (x, y, w, h) 4-vectors."""
-    return float(np.linalg.norm(_one_box(a) - _one_box(b)))
+    return float(_euclidean_distance_matrix(_one_box(a)[None, :], _one_box(b)[None, :])[0, 0])
 
 
 def euclidean_distance_matrix(a, b) -> np.ndarray:
@@ -282,7 +282,7 @@ def nms(candidates: Sequence[ScoredBox], thresh: float) -> list[int]:
     kept: list[int] = []
     for lo in range(0, n, _NMS_BLOCK):
         rows = lo + np.flatnonzero(~suppressed[lo:lo + _NMS_BLOCK])
-        over = (iou_matrix(boxes[rows], boxes[lo:]) > thresh) \
+        over = (_iou_matrix(boxes[rows], boxes[lo:]) > thresh) \
             & (classes[rows, None] == classes[None, lo:])
         for p, row in zip(rows.tolist(), over):
             if not suppressed[p]:

@@ -46,7 +46,10 @@ from .sparse_labels import SparseLabelBatch
 
 
 class CapacityError(ValueError):
-    """An image holds more ground-truth boxes than there are anchors."""
+    """An image holds more ground-truth boxes than there are anchors.
+
+    Every matcher raises it for the first such image, before it matches
+    any image."""
 
     def __init__(self, image_index: int, n_boxes: int, n_anchors: int):
         super().__init__(
@@ -57,6 +60,18 @@ class CapacityError(ValueError):
 
 class MatchInconsistencyError(ValueError):
     """An assignment refers to indices outside its cost matrices."""
+
+
+def _check_capacity(n_boxes, n_anchors) -> None:
+    """Raise the ``CapacityError`` of the first image whose box count in
+    ``n_boxes`` exceeds its anchor count: ``n_anchors`` is one count for
+    every image, or one per image."""
+    n_boxes = np.asarray(n_boxes, dtype=np.int64)
+    n_anchors = np.broadcast_to(np.asarray(n_anchors, dtype=np.int64), n_boxes.shape)
+    over = np.flatnonzero(n_boxes > n_anchors)
+    if len(over):
+        i = int(over[0])
+        raise CapacityError(i, int(n_boxes[i]), int(n_anchors[i]))
 
 
 @dataclass
@@ -236,9 +251,7 @@ def match_serial(anchors, batch) -> MatchAssignment:
     """
     anchor_arr = as_box_array(anchors)
     per_image = _as_box_arrays(batch)
-    for idx, boxes in enumerate(per_image):
-        if len(boxes) > len(anchor_arr):
-            raise CapacityError(idx, len(boxes), len(anchor_arr))
+    _check_capacity([len(boxes) for boxes in per_image], len(anchor_arr))
     return MatchAssignment([_take_cheapest(_rank_key(boxes, anchor_arr)[0], range(len(boxes)))
                             for boxes in per_image])
 
@@ -257,8 +270,7 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     if not np.all(np.isfinite(c)):
         raise InvalidSpecError("cost matrix has non-finite entries")
     nb, na = c.shape
-    if nb > na:
-        raise CapacityError(0, nb, na)
+    _check_capacity([nb], na)
     order = list(range(nb)) if traversal is None else list(traversal)
     if sorted(order) != list(range(nb)):  # compared as given: 0.9 is not 0
         raise InvalidSpecError(f"traversal must be a permutation of rows, got {order}")
@@ -371,10 +383,7 @@ def match_parallel(ranking: DistanceRanking, rois: SparseLabelBatch,
     if ids.size and ids.view(np.uint64).max() >= n_anchors:
         raise IndexError(f"dist_ids names anchors outside [0, {n_anchors})")
     off = rois.offsets()
-    counts = np.diff(off)
-    over = np.nonzero(counts > n_anchors)[0]
-    if len(over):
-        raise CapacityError(int(over[0]), int(counts[over[0]]), n_anchors)
+    _check_capacity(np.diff(off), n_anchors)
 
     out = []
     for i in range(rois.batch_size):
@@ -399,6 +408,14 @@ def _as_cost_list(cost) -> list[np.ndarray]:
     return mats
 
 
+def _match_costs(cost, solve) -> MatchAssignment:
+    """``solve`` of each image's cost matrix, once every image has passed
+    the capacity check; an image with no boxes gets no ids."""
+    mats = _as_cost_list(cost)
+    _check_capacity([len(c) for c in mats], [c.shape[1] for c in mats])
+    return MatchAssignment([solve(c) if len(c) else np.empty(0, dtype=np.int64) for c in mats])
+
+
 def match_greedy_bipartite(cost) -> MatchAssignment:
     """Greedy edge-list matcher.
 
@@ -414,34 +431,30 @@ def match_greedy_bipartite(cost) -> MatchAssignment:
     anchor is taken is replaced by the box's next free anchor; its cost
     is no lower, so the heap's least head is always a least free edge.
     """
-    out = []
-    for idx, c in enumerate(_as_cost_list(cost)):
-        nb, na = c.shape
-        if nb > na:
-            raise CapacityError(idx, nb, na)
-        if nb == 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        order = np.argsort(c, axis=1, kind="stable")
-        heads = list(zip(c[np.arange(nb), order[:, 0]].tolist(), range(nb)))
-        heapq.heapify(heads)
-        nxt = [0] * nb  # position in order[b] of box b's head
-        taken = bytearray(na)
-        chosen = np.empty(nb, dtype=np.int64)
-        while heads:
-            b = heads[0][1]
-            a = order[b, nxt[b]]
-            if taken[a]:
-                while taken[a]:
-                    nxt[b] += 1
-                    a = order[b, nxt[b]]
-                heapq.heapreplace(heads, (c[b, a].item(), b))
-            else:
-                heapq.heappop(heads)
-                chosen[b] = a
-                taken[a] = 1
-        out.append(chosen)
-    return MatchAssignment(out)
+    return _match_costs(cost, _greedy)
+
+
+def _greedy(c: np.ndarray) -> np.ndarray:
+    nb, na = c.shape
+    order = np.argsort(c, axis=1, kind="stable")
+    heads = list(zip(c[np.arange(nb), order[:, 0]].tolist(), range(nb)))
+    heapq.heapify(heads)
+    nxt = [0] * nb  # position in order[b] of box b's head
+    taken = bytearray(na)
+    chosen = np.empty(nb, dtype=np.int64)
+    while heads:
+        b = heads[0][1]
+        a = order[b, nxt[b]]
+        if taken[a]:
+            while taken[a]:
+                nxt[b] += 1
+                a = order[b, nxt[b]]
+            heapq.heapreplace(heads, (c[b, a].item(), b))
+        else:
+            heapq.heappop(heads)
+            chosen[b] = a
+            taken[a] = 1
+    return chosen
 
 
 def _hungarian(c: np.ndarray) -> tuple[float, np.ndarray]:
@@ -451,10 +464,6 @@ def _hungarian(c: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.0, np.empty(0, dtype=np.intp)
     r, col = scipy.optimize.linear_sum_assignment(c)
     return float(c[r, col].sum()), col
-
-
-def _hungarian_total(c: np.ndarray) -> float:
-    return _hungarian(c)[0]
 
 
 def _lex_smallest_optimal(c: np.ndarray) -> np.ndarray:
@@ -557,16 +566,7 @@ def match_exact(cost) -> MatchAssignment:
     lexicographically smallest anchor tuple in box order. Costs may be any
     finite values, negative ones included.
     """
-    out = []
-    for idx, c in enumerate(_as_cost_list(cost)):
-        nb, na = c.shape
-        if nb > na:
-            raise CapacityError(idx, nb, na)
-        if nb == 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        out.append(_lex_smallest_optimal(c))
-    return MatchAssignment(out)
+    return _match_costs(cost, _lex_smallest_optimal)
 
 
 def cost_matrices(anchors, batch) -> list[np.ndarray]:

@@ -25,7 +25,7 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 _PLACEMENTS = ("host", "accelerator")
 # the first stage is charged transfer if it is not host-placed, since
@@ -317,14 +317,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def report_to_obj(r: ThroughputReport) -> dict:
-    return {
-        "batches_per_sec": r.batches_per_sec,
-        "images_per_sec": r.images_per_sec,
-        "wall_ms": r.wall_ms,
-        "per_stage_busy_ms": list(r.per_stage_busy_ms),
-        "predicted_batches_per_sec": r.predicted_batches_per_sec,
-        "n_batches_processed": r.n_batches_processed,
-    }
+    return asdict(r)
 
 
 def format_report(r: ThroughputReport, stage_names=None) -> str:

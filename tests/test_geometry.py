@@ -277,6 +277,16 @@ class TestEuclideanDistance:
         assert euclidean_distance(Box(0, 0, 1, 1), Box(3, 4, 1, 1)) == 5.0
         assert euclidean_distance(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == 2.0
 
+    def test_scalar_bitwise_equals_matrix_entry(self):
+        # the matchers break ties on the matrix's floats; a norm-based
+        # scalar differed from them by one ulp on about one pair in ten
+        rng = np.random.default_rng(0)
+        a = np.column_stack([rng.uniform(-500, 500, (2000, 2)), rng.uniform(0.5, 300, (2000, 2))])
+        b = np.column_stack([rng.uniform(-500, 500, (2000, 2)), rng.uniform(0.5, 300, (2000, 2))])
+        got = np.array([euclidean_distance(p, q) for p, q in zip(a, b)])
+        want = np.array([euclidean_distance_matrix(p[None], q[None])[0, 0] for p, q in zip(a, b)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_matrix_bitwise_equals_seed_formula(self, seed):

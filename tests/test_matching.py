@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from odkit import (
+    Box,
     CapacityError,
     GridSpec,
     MatchAssignment,
     MatchConfig,
     MatchInconsistencyError,
+    ScoredBox,
     SparseLabelBatch,
     build_anchor_grid,
     build_rankings,
@@ -29,6 +31,7 @@ from odkit import (
     match_parallel,
     match_serial,
     match_serial_cost,
+    nms,
     total_weight,
 )
 from odkit import cli, geometry, matching, sparse_labels
@@ -997,6 +1000,52 @@ class TestOneBoxCheckPerCall:
             counts.append(box_checks(monkeypatch, lambda: cli.main(argv)))
         assert counts[0] == counts[1]
 
+    def test_nms(self, monkeypatch):
+        # 100 candidates make one suppression block, 600 make three
+        rng = np.random.default_rng(3)
+        counts = []
+        for n in (100, 600):
+            xy, wh = rng.uniform(0, 200, (n, 2)), rng.uniform(4, 40, (n, 2))
+            cands = [ScoredBox(Box(*p, *s), float(sc), int(k))
+                     for p, s, sc, k in zip(xy, wh, rng.random(n), rng.integers(0, 3, n))]
+            counts.append(box_checks(monkeypatch, lambda: nms(cands, 0.5)))
+        assert counts[0] == counts[1]
+
+
+def _over_full_batch():
+    """Four images on the three CE anchors; images 2 and 3 hold four boxes."""
+    return [CE_BOXES[:1], CE_BOXES, np.tile(CE_BOXES[0], (4, 1)), np.tile(CE_BOXES[1], (4, 1))]
+
+
+CAPACITY_MATCHERS = {
+    "serial": match_serial,
+    "parallel-strict": lambda anchors, batch: match_parallel(
+        build_rankings(anchors, to_sparse(batch)), to_sparse(batch)),
+    "parallel-paper-literal": lambda anchors, batch: match_parallel(
+        build_rankings(anchors, to_sparse(batch)), to_sparse(batch),
+        MatchConfig(dedup_mode="paper_literal")),
+    "greedy": lambda anchors, batch: match_greedy_bipartite(cost_matrices(anchors, batch)),
+    "exact": lambda anchors, batch: match_exact(cost_matrices(anchors, batch)),
+}
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("name", CAPACITY_MATCHERS)
+    def test_every_matcher_names_the_first_over_full_image(self, name):
+        with pytest.raises(CapacityError) as e:
+            CAPACITY_MATCHERS[name](CE_ANCHORS, _over_full_batch())
+        assert e.value.image_index == 2
+        assert str(e.value) == "image 2 has 4 boxes but only 3 anchors are available"
+
+    def test_exact_raises_before_any_solve(self, monkeypatch):
+        def fail(c):
+            raise AssertionError("an image was solved")
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", fail)
+        costs = cost_matrices(CE_ANCHORS, _over_full_batch()[:3])  # the last is over-full
+        with pytest.raises(CapacityError) as e:
+            match_exact(costs)
+        assert e.value.image_index == 2
+
 
 class TestMatchGreedy:
     def test_cost_instance(self):
@@ -1250,7 +1299,7 @@ class TestReducedCostBound:
             for j in avail:
                 if prefix_rc + rc[g, j] > margin:
                     rest = c[np.ix_(range(g + 1, nb), [a for a in avail if a != j])]
-                    total = prefix + c[g, j] + matching._hungarian_total(rest)
+                    total = prefix + c[g, j] + matching._hungarian(rest)[0]
                     assert not math.isclose(total, best, rel_tol=1e-12, abs_tol=1e-9)
             prefix += c[g, pick]
             prefix_rc += rc[g, pick]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -321,6 +322,11 @@ class TestJsonInterface:
                             "per_stage_busy_ms", "predicted_batches_per_sec"}
         text = format_report(r, ["s"])
         assert "batches/sec" in text and "busy ms [s]" in text
+
+    def test_report_obj_keys_are_the_report_fields(self):
+        r = run_pipeline(PipelineConfig(stages=[StageSpec("s", fixed_ms=1)],
+                                        prefetch_depth=0, n_batches=2), RECORDS)
+        assert set(report_to_obj(r)) == {f.name for f in dataclasses.fields(pipeline.ThroughputReport)}
 
 
 class TestFailingStage:
