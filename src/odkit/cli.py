@@ -140,14 +140,16 @@ def _cmd_match(args) -> int:
     costs = matching.cost_matrices(anchors, batch)
     a = _assignment_for(args.algo, args.dedup, anchors, records, costs)
     deltas = matching.compute_deltas(a, anchors, batch)
+    # weights[i] is total_weight of image i alone, 0.0 + weights[i]: a sum
+    # of 1 - IOU costs is never -0.0
+    weights = matching._image_weights(a, costs)
 
     with open(args.out, "w", encoding="utf-8") as f:
         for i, rec in enumerate(records):
             f.write(_jsonl_line({
                 "image_id": rec.image_id,
                 "assignment": a.anchor_ids[i].tolist(),
-                "total_weight": matching.total_weight(
-                    matching.MatchAssignment([a.anchor_ids[i]]), [costs[i]]),
+                "total_weight": weights[i],
                 "deltas": deltas[i].tolist(),
             }))
     print(f"matched {len(records)} images ({args.algo}) -> {args.out}")

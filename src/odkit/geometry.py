@@ -114,37 +114,104 @@ def iou_matrix(a, b) -> np.ndarray:
     Raises :class:`InvalidBoxError` when a box corner, or the largest area
     of ``a`` plus the largest area of ``b``, overflows float64: the union
     would be ``inf - inf`` and the IOU NaN. The check reads only the
-    corner and area vectors, so finite results are unchanged by it. The
-    (N, M) work runs in three buffers, one of which is returned.
+    corner and area vectors, so finite results are unchanged by it.
     """
-    return _iou_matrix(as_box_array(a), as_box_array(b))
+    return np.ascontiguousarray(_iou_matrix(as_box_array(a), as_box_array(b)))
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _grid_factors(anchor_arr: np.ndarray) -> tuple[int, int, int]:
+    """``(gh, gw, K)`` when the (A, 4) array ``anchor_arr`` is laid out as
+    :func:`build_anchor_grid` lays out a grid: row ``(j * gw + i) * K + k``
+    has the x of column i, the y of row j, and the (w, h) of template k,
+    every float bit for bit. Any other anchor set gives ``(1, 1, A)``,
+    one cell whose templates are the anchors. O(A).
+    """
+    a = len(anchor_arr)
+    if a == 0:
+        return (1, 1, 0)
+    bits = np.ascontiguousarray(anchor_arr).view(np.int64)
+    # a grid row is the leading rows at anchor 0's y, a cell the leading
+    # rows of that at its x; argmax is 0 when no row differs
+    c = int((bits[:, 1] != bits[0, 1]).argmax()) or a
+    k = int((bits[:c, 0] != bits[0, 0]).argmax()) or c
+    if c % k or a % c:
+        return (1, 1, a)
+    # w and h repeat every K rows and x every grid row; y is constant
+    # along a grid row and x along a cell
+    if ((bits[k:, 2] == bits[:-k, 2]).all() and (bits[k:, 3] == bits[:-k, 3]).all()
+            and (bits[c:, 0] == bits[:-c, 0]).all()
+            and (bits[:, 1].reshape(-1, c) == bits[::c, 1, None]).all()
+            and (bits[:c, 0].reshape(-1, k) == bits[:c:k, 0, None]).all()):
+        return (a // c, c // k, k)
+    return (1, 1, a)
+
+
+def _pair_terms(n: int, b: np.ndarray, factors):
+    """The per-axis anchor terms of ``b`` under ``factors`` (see
+    :func:`_grid_factors`; None is the one-cell form), and a maker of
+    scratch arrays for ``n`` boxes.
+
+    x is (gw, kc) and y (gh, kc), where kc is 1 on a grid, whose centres
+    do not vary with the template, and K on one cell; wh is (2, K).
+    Scratch arrays are indexed (box, ...). Their box axis is innermost in
+    memory when there are more boxes than templates, so that the longer
+    axis runs in numpy's inner loops; an (N, M) result is then
+    F-contiguous, else C-contiguous.
+    """
+    gh, gw, k = factors or (1, 1, len(b))
+    g = b.reshape(gh, gw, k, 4)
+    kc = 1 if gh * gw > 1 else k
+    box_inner = n > k
+
+    def empty(*shape: int) -> np.ndarray:
+        if box_inner:
+            return np.empty(shape + (n,)).transpose(len(shape), *range(len(shape)))
+        return np.empty((n,) + shape)
+    return g[0, :, :kc, 0], g[:, 0, :kc, 1], g[0, 0, :, 2:].T, empty
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray, factors=None) -> np.ndarray:
     """:func:`iou_matrix` of two (N, 4) float64 arrays that already passed
-    :func:`as_box_array`; only the overflow check runs here."""
+    :func:`as_box_array`, C- or F-contiguous (see :func:`_pair_terms`);
+    only the overflow check runs here.
+
+    With ``factors`` from :func:`_grid_factors` of a grid ``b``, the
+    overlap terms are computed per axis: x overlaps on (N, gw, K), y
+    overlaps on (N, gh, K), the areas' sums on (N, K). Only their
+    product, the union and the quotient cover all (N, M) pairs. Each
+    float comes from the same IEEE operations on the same operands as
+    pair by pair, shared only by anchors whose operands are equal bit
+    for bit, so the result equals the one-cell form's bit for bit.
+    """
+    n = len(a)
+    x, y, wh, empty = _pair_terms(n, b, factors)
+    gh, gw, k = len(y), len(x), wh.shape[1]
     with np.errstate(over="ignore"):  # an overflow here raises below
-        half_a, half_b = a[:, 2:] / 2, b[:, 2:] / 2
+        half_a, (half_w, half_h) = a[:, 2:] / 2, wh / 2
         lo_a, hi_a = a[:, :2] - half_a, a[:, :2] + half_a
-        lo_b, hi_b = b[:, :2] - half_b, b[:, :2] + half_b
-        area_a, area_b = a[:, 2] * a[:, 3], b[:, 2] * b[:, 3]
+        lo_x, hi_x = x - half_w, x + half_w
+        lo_y, hi_y = y - half_h, y + half_h
+        area_a, area_b = a[:, 2] * a[:, 3], wh[0] * wh[1]
         # a corner at +-inf makes its side's span inf
-        if len(a) and len(b) and not (math.isfinite(area_a.max() + area_b.max())
-                                      and np.isfinite(hi_a - lo_a).all()
-                                      and np.isfinite(hi_b - lo_b).all()):
+        if n and len(b) and not (math.isfinite(area_a.max() + area_b.max())
+                                 and np.isfinite(hi_a - lo_a).all()
+                                 and np.isfinite(hi_x - lo_x).all()
+                                 and np.isfinite(hi_y - lo_y).all()):
             raise InvalidBoxError("box corners or areas overflow float64")
 
-    iw = np.minimum(hi_a[:, 0, None], hi_b[None, :, 0])
-    tmp = np.maximum(lo_a[:, 0, None], lo_b[None, :, 0])
-    iw -= tmp
-    ih = np.minimum(hi_a[:, 1, None], hi_b[None, :, 1])
-    ih -= np.maximum(lo_a[:, 1, None], lo_b[None, :, 1], out=tmp)
-    np.maximum(iw, 0.0, out=iw)
-    np.maximum(ih, 0.0, out=ih)
-    inter = np.multiply(iw, ih, out=iw)
-    union = np.add(area_a[:, None], area_b[None, :], out=ih)
-    union -= inter
-    return np.divide(inter, union, out=inter)
+    iw = np.minimum(hi_a[:, 0, None, None], hi_x, out=empty(gw, k))
+    tmp = np.maximum(lo_a[:, 0, None, None], lo_x, out=empty(gw, k))
+    np.maximum(np.subtract(iw, tmp, out=iw), 0.0, out=iw)
+    ih = np.minimum(hi_a[:, 1, None, None], hi_y, out=empty(gh, k))
+    tmp = np.maximum(lo_a[:, 1, None, None], lo_y, out=tmp if gh == gw else empty(gh, k))
+    np.maximum(np.subtract(ih, tmp, out=ih), 0.0, out=ih)
+    # the product, the areas' sum and the union reuse iw, tmp and ih
+    # where these have their shapes already, as on one cell
+    inter = np.multiply(iw[:, None], ih[:, :, None], out=iw[:, None] if gh == 1 else empty(gh, gw, k))
+    union = np.add(area_a[:, None], area_b, out=tmp[:, 0] if gh == 1 else empty(k))
+    union = np.subtract(union[:, None, None], inter,
+                        out=ih[:, :, None] if gw == 1 else empty(gh, gw, k))
+    return np.divide(inter, union, out=inter).reshape(n, gh * gw * k)
 
 
 def matching_distance(a, b) -> float:
@@ -164,23 +231,35 @@ def euclidean_distance(a, b) -> float:
 def euclidean_distance_matrix(a, b) -> np.ndarray:
     """Pairwise L2 distance between the 4-vectors of ``a`` (N, 4) and
     ``b`` (M, 4)."""
-    return _euclidean_distance_matrix(as_box_array(a), as_box_array(b))
+    return np.ascontiguousarray(_euclidean_distance_matrix(as_box_array(a), as_box_array(b)))
 
 
-def _euclidean_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _euclidean_distance_matrix(a: np.ndarray, b: np.ndarray, factors=None) -> np.ndarray:
     """:func:`euclidean_distance_matrix` of two (N, 4) float64 arrays that
-    already passed :func:`as_box_array`."""
-    # one (N, M) column difference at a time, squared and added in
-    # coordinate order in two buffers: the same floats as summing an
-    # (N, M, 4) array over its last axis (the first square is its own sum)
-    sq = np.subtract(a[:, 0, None], b[None, :, 0])
+    already passed :func:`as_box_array`, C- or F-contiguous like
+    :func:`_iou_matrix`, whose ``factors`` it takes.
+
+    On a grid the squared coordinate differences are computed per axis:
+    x on (N, gw), y on (N, gh), w and h on (N, K), and x + y on
+    (N, gh, gw). They are summed in coordinate order, ``((x + y) + w) +
+    h``, the floats of summing an (N, M, 4) array over its last axis;
+    only the last two sums and the square root cover all (N, M) pairs.
+    """
+    n = len(a)
+    x, y, b_wh, empty = _pair_terms(n, b, factors)
+    gh, gw, kc, k = len(y), len(x), x.shape[1], b_wh.shape[1]
+    sq = np.subtract(a[:, 0, None, None], x, out=empty(gw, kc))
+    d = np.subtract(a[:, 1, None, None], y, out=empty(gh, kc))
     sq *= sq
-    d = np.empty_like(sq)
-    for k in range(1, 4):
-        np.subtract(a[:, k, None], b[None, :, k], out=d)
+    d *= d
+    sq = np.add(sq[:, None], d[:, :, None], out=sq[:, None] if gh == 1 else empty(gh, gw, kc))
+    # the w and h terms reuse the y terms' buffer where it has their shape
+    d = d[:, 0] if d.shape[1:] == (1, k) else empty(k)
+    for col in (2, 3):
+        np.subtract(a[:, col, None], b_wh[col - 2], out=d)
         d *= d
-        sq += d
-    return np.sqrt(sq, out=sq)
+        sq = np.add(sq, d[:, None, None], out=sq if sq.shape[3] == k else empty(gh, gw, k))
+    return np.sqrt(sq, out=sq).reshape(n, gh * gw * k)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ and ties always break toward the ascending anchor index. ``build_rankings``
 hands its row blocks to a thread pool of at most ``ODF_THREADS`` threads
 (default: hardware parallelism); no other matcher starts a thread, and
 results are identical for every thread count. Each public function checks
-its anchors and boxes once; the inner IOU and distance work runs on
-geometry's unchecked kernels.
+its anchors and boxes once, and finds once whether the anchors form a
+grid; the inner IOU and distance work runs on geometry's unchecked
+kernels, per axis on a grid.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (  # noqa: F401
     InvalidSpecError,
     _as_box_arrays,
     _euclidean_distance_matrix,
+    _grid_factors,
     _iou_matrix,
     as_box_array,
     euclidean_distance_matrix,
@@ -164,10 +166,14 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each box's anchor preference as one (N, A) key, lowest first, ties
-    toward the lower index; and each box's count of overlapping anchors.
-    Both arrays must have passed ``as_box_array``.
+def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray,
+              factors=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's anchor preference as one C-ordered (N, A) key, lowest
+    first, ties toward the lower index; and each box's count of
+    overlapping anchors. Both arrays must have passed ``as_box_array``;
+    ``factors`` is ``_grid_factors(anchor_arr)``, with which the IOU and
+    distance kernels compute per-axis terms on a grid and give the same
+    floats as anchor by anchor.
 
     Overlapping anchors key as -iou in [-1, 0), the rest as their
     Euclidean distance, >= 0. IOUs are compared directly, not as 1-IOU,
@@ -178,16 +184,16 @@ def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np
     thread or a worker. No key is NaN: ``_iou_matrix`` raises first. The
     key is built in the distance matrix's buffer as ``d * (iou == 0) -
     iou``, which is ``-iou`` or ``d`` exactly, since the capped ``d`` is
-    finite.
+    finite, in the kernels' memory order, and made C-ordered last.
     """
-    iou = _iou_matrix(boxes, anchor_arr)
+    iou = _iou_matrix(boxes, anchor_arr, factors)
     with np.errstate(over="ignore"):
-        key = _euclidean_distance_matrix(boxes, anchor_arr)
+        key = _euclidean_distance_matrix(boxes, anchor_arr, factors)
     np.minimum(key, np.finfo(np.float64).max, out=key)
     free = iou == 0.0
     np.multiply(key, free, out=key)
     key -= iou
-    return key, key.shape[1] - np.count_nonzero(free, axis=1)
+    return np.ascontiguousarray(key), key.shape[1] - free.sum(axis=1, dtype=np.int32)
 
 
 def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> int:
@@ -252,8 +258,10 @@ def match_serial(anchors, batch) -> MatchAssignment:
     anchor_arr = as_box_array(anchors)
     per_image = _as_box_arrays(batch)
     _check_capacity([len(boxes) for boxes in per_image], len(anchor_arr))
-    return MatchAssignment([_take_cheapest(_rank_key(boxes, anchor_arr)[0], range(len(boxes)))
-                            for boxes in per_image])
+    factors = _grid_factors(anchor_arr)
+    return MatchAssignment([
+        _take_cheapest(_rank_key(boxes, anchor_arr, factors)[0], range(len(boxes)))
+        for boxes in per_image])
 
 
 def match_serial_cost(cost, traversal=None) -> MatchAssignment:
@@ -294,8 +302,11 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``
     (one integer sort of a composite key per row, equal to a stable sort)
     straight into the block's slice of ``dist_ids``. Anchors and boxes are
-    checked once, before the blocks. A block's buffers stay in cache, and
-    memory beyond the result stays O(block x anchors). The blocks go to a
+    checked once, before the blocks, and ``_grid_factors`` of the anchors
+    is found once, so that every block of a grid gets its IOU and distance
+    terms per axis, the floats of anchor by anchor (see ``_iou_matrix``).
+    A block's buffers stay in cache, and memory beyond the result stays
+    O(block x anchors). The blocks go to a
     pool of ``min(thread_cap(), blocks)`` threads; a batch of one block,
     or a cap of one, runs on the caller's thread. An error in a block
     reaches the caller once the pool has shut down: the lowest failing
@@ -309,6 +320,7 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     if n_anchors == 0:
         raise InvalidSpecError("anchor list must be non-empty")
     rois.validate()
+    factors = _grid_factors(anchor_arr)
     boxes = rois.rois_values
     n = len(boxes)
     dist_ids = np.empty((n, n_anchors), dtype=np.int64)
@@ -319,7 +331,7 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
 
     def rank(b: int) -> None:
         e = min(b + block, n)
-        key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr)
+        key, crossover[b:e] = _rank_key(boxes[b:e], anchor_arr, factors)
         _stable_argsort_rows(key, dist_ids[b:e])
 
     workers = min(thread_cap(), len(starts))
@@ -572,29 +584,42 @@ def match_exact(cost) -> MatchAssignment:
 def cost_matrices(anchors, batch) -> list[np.ndarray]:
     """Per-image 1-IOU weight matrices for a geometric instance: one IOU
     pass over every image's boxes stacked, split back into per-image row
-    slices of one array. IOU is elementwise, so each image gets the
-    floats it would get alone."""
+    slices of one C-ordered array. IOU is elementwise, so each image gets
+    the floats it would get alone; on a grid (``_grid_factors``) its
+    terms are computed per axis, which gives the same floats."""
     anchor_arr = as_box_array(anchors)
     per_image = _as_box_arrays(batch)
     if not per_image:
         return []
-    cost = _iou_matrix(np.concatenate(per_image), anchor_arr)
+    cost = np.ascontiguousarray(
+        _iou_matrix(np.concatenate(per_image), anchor_arr, _grid_factors(anchor_arr)))
     np.subtract(1.0, cost, out=cost)
     return np.split(cost, np.cumsum([len(b) for b in per_image[:-1]]))
 
 
 def total_weight(a: MatchAssignment, cost) -> float:
     """Sum of cost entries over all assigned pairs over all images."""
-    mats = _as_cost_list(cost)
+    total = 0.0
+    for w in _image_weights(a, _as_cost_list(cost)):
+        total += w
+    return total
+
+
+def _image_weights(a: MatchAssignment, mats: list[np.ndarray]) -> list[float]:
+    """Each image's sum of ``mats[i]`` entries over its assigned pairs, for
+    2-D float64 cost matrices that are already checked (as
+    ``_as_cost_list`` checks them); raises ``MatchInconsistencyError``
+    unless ``a`` covers every image with ids inside its matrix."""
     if a.n_images != len(mats):
         raise MatchInconsistencyError(
             f"assignment covers {a.n_images} images, cost {len(mats)}")
-    total = 0.0
+    weights = []
     for i, (ids, c) in enumerate(zip(a.anchor_ids, mats)):
-        if len(ids) > c.shape[0] or (len(ids) and (ids.min() < 0 or ids.max() >= c.shape[1])):
+        # a negative id reads as a huge unsigned one
+        if len(ids) > c.shape[0] or (len(ids) and ids.view(np.uint64).max() >= c.shape[1]):
             raise MatchInconsistencyError(f"assignment for image {i} is out of bounds")
-        total += float(c[np.arange(len(ids)), ids].sum())
-    return total
+        weights.append(float(c[np.arange(len(ids)), ids].sum()))
+    return weights
 
 
 def _per_pair(fn, a: MatchAssignment, anchor_arr, rows, what: str) -> list[np.ndarray]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import queue
 import threading
 import time
@@ -59,8 +60,9 @@ class StageSpec:
     fn: object = None
 
     def __post_init__(self):
-        if self.fixed_ms < 0 or self.per_box_ms < 0 or self.transfer_cost_ms < 0:
-            raise ValueError(f"stage {self.name!r}: latencies must be >= 0")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.fixed_ms, self.per_box_ms, self.transfer_cost_ms)):
+            raise ValueError(f"stage {self.name!r}: latencies must be finite and >= 0")
         if self.placement not in _PLACEMENTS:
             raise ValueError(
                 f"stage {self.name!r}: placement must be one of {_PLACEMENTS}, "
@@ -85,8 +87,8 @@ class PipelineConfig:
             raise ValueError(f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
         if self.n_batches < 1:
             raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
-        if self.mean_boxes_per_image < 0:
-            raise ValueError("mean_boxes_per_image must be >= 0")
+        if not (math.isfinite(self.mean_boxes_per_image) and self.mean_boxes_per_image >= 0):
+            raise ValueError("mean_boxes_per_image must be finite and >= 0")
 
 
 @dataclass
@@ -157,7 +159,11 @@ def _stage(st: StageSpec, prev: str, fn, items, free: list[float], busy_ms, pos:
         else:
             cost = _stage_cost_ms(st, prev, payload["n_boxes"]) / 1000.0
             if start + cost > t0:  # a zero sleep would still hand over the interpreter lock
-                time.sleep(start + cost - t0)
+                try:
+                    time.sleep(start + cost - t0)
+                except OverflowError:
+                    raise ValueError(f"stage {st.name!r}: a modeled cost of {cost * 1000.0} ms "
+                                     "is too long to sleep") from None
         free[0] = start + cost
         busy_ms[pos] += cost * 1000.0
         yield free[0], payload

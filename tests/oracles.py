@@ -260,6 +260,48 @@ def random_geometric_instance(rng: np.random.Generator, max_images: int = 4,
     return anchors, batch
 
 
+def random_grid_spec(rng: np.random.Generator):
+    """A GridSpec of 1-16 columns and 1-16 rows with 1-9 templates drawn
+    from a smaller pool, so templates repeat; sizes are half-pixels."""
+    from odkit import GridSpec
+
+    pool = rng.integers(1, 400, (int(rng.integers(1, 10)), 2)) / 2
+    k = int(rng.integers(1, 10))
+    templates = tuple(map(tuple, pool[rng.integers(len(pool), size=k)]))
+    return GridSpec(image_w=float(rng.integers(8, 1000)), image_h=float(rng.integers(8, 1000)),
+                    grid_w=int(rng.integers(1, 17)), grid_h=int(rng.integers(1, 17)),
+                    templates=templates)
+
+
+def grid_stress_boxes(rng: np.random.Generator, anchors: np.ndarray, n: int) -> np.ndarray:
+    """``n`` boxes placed against ``anchors`` where the IOU and distance
+    terms are delicate: centred exactly on an anchor and sized exactly like
+    one of the templates, touching an anchor's edge, nested in or around
+    one, sub-pixel, huge (areas near 1e300), or anywhere on the image."""
+    span = anchors[:, :2].max(axis=0) * 2
+    boxes = np.empty((n, 4))
+    for b in range(n):
+        anchor = anchors[rng.integers(len(anchors))]
+        kind = int(rng.integers(6))
+        if kind == 0:
+            boxes[b] = (*anchor[:2], *anchors[rng.integers(len(anchors)), 2:])
+        elif kind == 1:
+            w, h = rng.integers(1, 64, 2) / 4
+            side = int(rng.integers(2))
+            centre = anchor[:2].copy()
+            centre[side] += (anchor[2 + side] + (w, h)[side]) / 2 * rng.choice([-1, 1])
+            boxes[b] = (*centre, w, h)
+        elif kind == 2:
+            boxes[b] = (*anchor[:2], *(anchor[2:] * rng.choice([0.25, 0.5, 2.0, 4.0], 2)))
+        elif kind == 3:
+            boxes[b] = (*(rng.random(2) * span), *rng.uniform(1e-3, 1.0, 2))
+        elif kind == 4:
+            boxes[b] = (*(rng.random(2) * span), *10.0 ** rng.uniform(3, 150, 2))
+        else:
+            boxes[b] = (*(rng.random(2) * span), *rng.uniform(0.5, 1.2, 2) * span)
+    return boxes
+
+
 def pure_random_search(objective, lows, highs, budget: int, seed: int) -> float:
     """Best value over plain uniform sampling; the baseline any informed
     search should beat."""

@@ -204,6 +204,14 @@ class TestBench:
     def test_missing_flags_is_usage_error(self):
         assert run_cli("bench") == 1
 
+    @pytest.mark.parametrize("fixed_ms", ["NaN", "Infinity", "1e300"])
+    def test_unusable_latency_is_data_error(self, record_file, tmp_path, capsys, fixed_ms):
+        cfg = tmp_path / "p.json"
+        cfg.write_text('{"stages": [{"name": "load", "fixed_ms": %s}], "n_batches": 2}'
+                       % fixed_ms)
+        assert run_cli("bench", "--pipeline", str(cfg), "--records", str(record_file)) == 2
+        assert "stage 'load'" in capsys.readouterr().err
+
 
 class TestHyperopt:
     def test_builtin_objective_trial_log(self, tmp_path):

@@ -20,7 +20,7 @@ from odkit import (
     matching_distance,
     nms,
 )
-from oracles import cell_iou, mc_iou, nms_reference
+from oracles import cell_iou, grid_stress_boxes, mc_iou, nms_reference, random_grid_spec
 
 coord = st.floats(-100, 100, allow_nan=False, width=32).map(float)
 size = st.floats(0.25, 64, allow_nan=False, width=32).filter(lambda v: v > 0).map(float)
@@ -337,6 +337,117 @@ class TestAnchorGrid:
         assert np.all(grid[:, 1] > 0) and np.all(grid[:, 1] < 160)
         again = build_anchor_grid(spec)
         assert np.array_equal(grid, again)
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _non_grids(spec):
+    """Anchor sets one step away from ``spec``'s grid, each with the map
+    from its rows to the grid's rows: one coordinate of the last anchor,
+    or the x of the second, moved one ulp up; rows permuted; the last
+    anchor dropped (so that A need not be a product); a single anchor."""
+    grid = build_anchor_grid(spec)
+    a = len(grid)
+    rng = np.random.default_rng(a)
+    out = []
+    for row, col in [(-1, 0), (-1, 1), (-1, 2), (-1, 3), (min(1, a - 1), 0)]:
+        moved = grid.copy()
+        moved[row, col] = np.nextafter(moved[row, col], np.inf)
+        out.append((moved, np.arange(a)))
+    perm = rng.permutation(a)
+    while a > 1 and np.array_equal(perm, np.arange(a)):
+        perm = rng.permutation(a)
+    out += [(grid[perm], perm), (grid[:1], np.arange(1))]
+    if a > 1:
+        out.append((grid[:-1], np.arange(a - 1)))
+    return out
+
+
+class TestGridFactors:
+    """geometry._grid_factors recognises build_anchor_grid's layout, and
+    nothing else: everything else is one cell of A templates."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_every_built_grid_is_recognised(self, seed):
+        spec = random_grid_spec(np.random.default_rng(seed))
+        got = geometry._grid_factors(build_anchor_grid(spec))
+        assert got == (spec.grid_h, spec.grid_w, len(spec.templates))
+
+    def test_near_grids_are_one_cell(self):
+        spec = GridSpec(image_w=90, image_h=60, grid_w=4, grid_h=3,
+                        templates=((8.0, 6.0), (6.0, 8.0)))
+        for anchors, _ in _non_grids(spec):
+            assert geometry._grid_factors(anchors) == (1, 1, len(anchors))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_near_grids_equal_the_grid(self, seed):
+        # whatever factors a near grid gets (a permuted single row is still
+        # a grid), its unchanged anchors get the grid's floats
+        rng = np.random.default_rng(seed)
+        spec = random_grid_spec(rng)
+        grid = build_anchor_grid(spec)
+        boxes = grid_stress_boxes(rng, grid, int(rng.integers(0, 12)))
+        for kernel in (geometry._iou_matrix, geometry._euclidean_distance_matrix):
+            want = kernel(boxes, grid, geometry._grid_factors(grid))
+            for anchors, rows in _non_grids(spec):
+                got = kernel(boxes, anchors, geometry._grid_factors(anchors))
+                assert np.array_equal(_bits(got), _bits(kernel(boxes, anchors)))
+                same = np.all(anchors == grid[rows], axis=1)
+                assert np.array_equal(_bits(got)[:, same], _bits(want[:, rows])[:, same])
+
+    def test_random_anchors_are_one_cell(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 12, 36):
+            anchors = np.column_stack([rng.uniform(0, 100, (n, 2)), rng.uniform(1, 30, (n, 2))])
+            assert geometry._grid_factors(anchors) == (1, 1, n)
+        assert geometry._grid_factors(np.empty((0, 4))) == (1, 1, 0)
+
+    def test_signed_zero_centres_are_not_equal(self):
+        grid = build_anchor_grid(GridSpec(image_w=4, image_h=4, grid_w=1, grid_h=2,
+                                          templates=((1, 1), (2, 2))))
+        grid[:, 0] = 0.0
+        assert geometry._grid_factors(grid) == (2, 1, 2)
+        grid[1, 0] = -0.0
+        assert geometry._grid_factors(grid) == (1, 1, 4)
+
+
+class TestFactoredKernels:
+    """On a grid the IOU and distance kernels build their pair terms per
+    axis; every float equals the one-cell form's and the frozen seed
+    formulas' bit for bit, whatever the box."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_one_cell_form(self, seed):
+        rng = np.random.default_rng(seed)
+        anchors = build_anchor_grid(random_grid_spec(rng))
+        boxes = grid_stress_boxes(rng, anchors, int(rng.integers(0, 40)))
+        factors = geometry._grid_factors(anchors)
+        for kernel, seed_formula in ((geometry._iou_matrix, _seed_iou_matrix),
+                                     (geometry._euclidean_distance_matrix,
+                                      _seed_euclidean_distance_matrix)):
+            got = kernel(boxes, anchors, factors)
+            assert got.shape == (len(boxes), len(anchors))
+            assert np.array_equal(_bits(got), _bits(kernel(boxes, anchors)))
+            assert np.array_equal(_bits(got), _bits(seed_formula(boxes, anchors)))
+
+    @pytest.mark.parametrize("boxes, templates", [
+        ([HUGE], ((4.0, 4.0),)),
+        ([[0.0, 0, 1.5e154, 1e154]], ((1.5e154, 1e154),)),
+        ([[1.7e308, 0, 1e308, 1e-10]], ((4.0, 4.0),)),
+        ([[10.0, 10, 4, 4]], ((1e200, 1e200), (4.0, 4.0))),
+    ])
+    def test_overflow_raises_on_both_forms(self, boxes, templates):
+        anchors = build_anchor_grid(GridSpec(image_w=64, image_h=64, grid_w=3, grid_h=2,
+                                             templates=templates))
+        assert geometry._grid_factors(anchors) == (2, 3, len(templates))
+        for factors in (geometry._grid_factors(anchors), None):
+            with pytest.raises(InvalidBoxError, match="overflow"):
+                geometry._iou_matrix(np.array(boxes), anchors, factors)
 
 
 class TestNms:

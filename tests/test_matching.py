@@ -45,8 +45,10 @@ from oracles import (
     brute_force_exact,
     edge_scan_greedy,
     full_permutation_exact,
+    grid_stress_boxes,
     per_row_exact,
     random_geometric_instance,
+    random_grid_spec,
     serial_match_reference,
 )
 
@@ -661,11 +663,17 @@ HUGE_BOX = [0.0, 0.0, 1e200, 1e200]  # finite, but its area overflows
 
 
 class TestOverflow:
-    """Distances that overflow raise no warning, in any thread; areas
-    that overflow raise InvalidBoxError rather than give NaN IOUs."""
+    """Distances that overflow raise no warning, in any thread, on a grid
+    or one cell; areas that overflow raise InvalidBoxError rather than
+    give NaN IOUs."""
 
     ANCHORS = np.array([[10.0, 10, 4, 4], [30.0, 10, 4, 4], [50.0, 10, 4, 4]])
     FAR = [np.array([[1e160, 1e160, 1, 1]] * 2)] * 3
+    # ANCHORS is a row of three cells; beside it a 3x3 grid of two
+    # templates, and a row whose middle anchor has its own shape: one
+    # cell of three templates
+    LAYOUTS = {"grid": (small_grid(), (3, 3, 2)),
+               "one cell": (ANCHORS + [0, 0, 0, 1] * (np.arange(3) == 1)[:, None], (1, 1, 3))}
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_build_rankings_warns_in_no_thread(self, monkeypatch, threads):
@@ -684,6 +692,22 @@ class TestOverflow:
         assert [str(w.message) for w in caught] == []
         assert got == MatchAssignment([[0, 1]] * 3)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_no_warning_on_either_layout(self, monkeypatch, threads, layout):
+        anchors, factors = self.LAYOUTS[layout]
+        assert geometry._grid_factors(self.ANCHORS) == (1, 3, 1)
+        assert geometry._grid_factors(anchors) == factors
+        monkeypatch.setenv("ODF_THREADS", threads)
+        one_row_blocks(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranking = build_rankings(anchors, to_sparse(self.FAR))
+            serial = match_serial(anchors, self.FAR)
+        assert [str(w.message) for w in caught] == []
+        assert ranking.dist_ids.tolist() == [list(range(len(anchors)))] * 6
+        assert serial == MatchAssignment([[0, 1]] * 3)
+
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     def test_build_rankings_rejects_overflowing_area(self, monkeypatch, threads):
         monkeypatch.setenv("ODF_THREADS", threads)
@@ -699,6 +723,47 @@ class TestOverflow:
     def test_cost_matrices_rejects_overflowing_area(self):
         with pytest.raises(InvalidBoxError, match="overflow"):
             cost_matrices(np.array([HUGE_BOX]), [np.array([HUGE_BOX])])
+
+    def test_cost_matrices_rejects_overflowing_area_on_a_grid(self):
+        with pytest.raises(InvalidBoxError, match="overflow"):
+            cost_matrices(small_grid(), [np.array([[20.0, 20, 8, 8]]), np.array([HUGE_BOX])])
+
+
+class TestFactoredRankKey:
+    """On a grid the rank key, the rankings, match_serial and the cost
+    matrices come from per-axis terms (see geometry._grid_factors); they
+    equal the one-cell path's and the frozen references bit for bit."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_key_equals_one_cell_form(self, seed):
+        rng = np.random.default_rng(seed)
+        anchors = build_anchor_grid(random_grid_spec(rng))
+        boxes = grid_stress_boxes(rng, anchors, int(rng.integers(0, 30)))
+        key, crossover = matching._rank_key(boxes, anchors, geometry._grid_factors(anchors))
+        want_key, want_crossover = matching._rank_key(boxes, anchors)
+        assert key.flags.c_contiguous and want_key.flags.c_contiguous
+        assert np.array_equal(key.view(np.uint64), want_key.view(np.uint64))
+        assert np.array_equal(crossover, want_crossover)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matchers_equal_frozen_references(self, seed):
+        rng = np.random.default_rng(seed)
+        anchors = build_anchor_grid(random_grid_spec(rng))
+        batch = [grid_stress_boxes(rng, anchors, int(rng.integers(0, min(8, len(anchors)) + 1)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        sparse = to_sparse(batch)
+        ranking = build_rankings(anchors, sparse)
+        want_ids, want_crossover = _seed_build_rankings(anchors, sparse)
+        assert np.array_equal(ranking.dist_ids, want_ids)
+        assert np.array_equal(ranking.crossover, want_crossover)
+        serial = match_serial(anchors, batch)
+        assert serial == _seed_match_serial(anchors, batch) == match_parallel(ranking, sparse)
+        for cost, boxes in zip(cost_matrices(anchors, batch), batch):
+            assert cost.flags.c_contiguous
+            assert np.array_equal(cost.view(np.uint64),
+                                  (1.0 - iou_matrix(boxes, anchors)).view(np.uint64))
 
 
 class TestMatchParallel:
@@ -806,11 +871,11 @@ class TestWorkerErrors:
         one_row_blocks(monkeypatch)
         real, during = matching._rank_key, []
 
-        def counting(boxes, anchor_arr):
+        def counting(boxes, anchor_arr, factors):
             during.append(threading.active_count())
             if failing and boxes[0, 0] > 40:
                 raise RuntimeError("bad block")
-            return real(boxes, anchor_arr)
+            return real(boxes, anchor_arr, factors)
         monkeypatch.setattr(matching, "_rank_key", counting)
         sparse = to_sparse([np.array([[20.0 + 8 * i, 20, 8, 8]]) for i in range(7)])
         before = threading.active_count()
@@ -936,7 +1001,7 @@ class TestBadBoxesAtTheBoundary:
 
     @staticmethod
     def _no_workers(monkeypatch):
-        def fail(boxes, anchor_arr):
+        def fail(boxes, anchor_arr, factors):
             raise AssertionError("a row block was ranked")
         monkeypatch.setattr(matching, "_rank_key", fail)
 
@@ -1343,6 +1408,22 @@ class TestTotalWeight:
         a = MatchAssignment([np.array([0])])
         with pytest.raises(MatchInconsistencyError):
             total_weight(a, [np.ones((1, 3)), np.ones((1, 3))])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(MatchInconsistencyError, match="image 1"):
+            total_weight(MatchAssignment([[0], [-1]]), [np.ones((1, 3))] * 2)
+
+    def test_sums_the_image_weights_in_order(self):
+        rng = np.random.default_rng(4)
+        mats = [rng.uniform(-1, 1, (n, 6)) for n in (3, 0, 5, 2)]
+        a = match_greedy_bipartite(mats)
+        weights = matching._image_weights(a, mats)
+        assert weights == [float(c[np.arange(len(ids)), ids].sum())
+                           for ids, c in zip(a.anchor_ids, mats)]
+        total = 0.0
+        for w in weights:
+            total += w
+        assert total_weight(a, mats) == total
 
 
 class TestDominanceAndAgreement:

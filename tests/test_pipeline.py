@@ -48,6 +48,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             PipelineConfig(stages=[StageSpec("s")], prefetch_depth=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["fixed_ms", "per_box_ms", "transfer_cost_ms"])
+    def test_stage_rejects_non_finite_latency(self, field, value):
+        with pytest.raises(ValueError, match="'s': latencies must be finite"):
+            StageSpec("s", **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_mean_boxes(self, value):
+        with pytest.raises(ValueError, match="mean_boxes_per_image must be finite"):
+            PipelineConfig(stages=[StageSpec("s")], mean_boxes_per_image=value)
+
+    @pytest.mark.parametrize("prefetch", [0, 2])
+    @pytest.mark.parametrize("stage", [StageSpec("slow", fixed_ms=1e300),
+                                       StageSpec("slow", per_box_ms=1e306)])
+    def test_unsleepable_cost_names_the_stage(self, prefetch, stage):
+        # finite, but the sleep's length overflows time.sleep's range
+        cfg = PipelineConfig(stages=[StageSpec("fast"), stage], batch_size=2,
+                             prefetch_depth=prefetch, n_batches=3)
+        with pytest.raises(ValueError, match="stage 'slow': .* too long to sleep"):
+            run_pipeline(cfg, RECORDS)
+
 
 class TestModel:
     def test_bottleneck_rule(self):
