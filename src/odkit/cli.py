@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -95,6 +96,18 @@ def _parse_templates(text: str) -> tuple[tuple[float, float], ...]:
                 f"expected comma-separated WxH pairs, got {text!r}") from None
         out.append((w, h))
     return tuple(out)
+
+
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float as None, which JSON writes as
+    null, in its dicts and lists."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _jsonl_line(obj) -> str:
@@ -187,7 +200,7 @@ def _cmd_bench(args) -> int:
         print(pipeline.format_report(report, [s.name for s in cfg.stages]))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(obj), f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
     return 0
 

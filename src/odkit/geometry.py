@@ -278,15 +278,16 @@ class GridSpec:
     templates: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise InvalidSpecError("image dimensions must be positive")
+        if not (math.isfinite(self.image_w) and math.isfinite(self.image_h)
+                and self.image_w > 0 and self.image_h > 0):
+            raise InvalidSpecError("image dimensions must be positive and finite")
         if self.grid_w < 1 or self.grid_h < 1:
             raise InvalidSpecError("grid dimensions must be >= 1")
         if len(self.templates) == 0:
             raise InvalidSpecError("at least one template shape is required")
         for tw, th in self.templates:
-            if tw <= 0 or th <= 0:
-                raise InvalidSpecError(f"non-positive template shape ({tw}, {th})")
+            if not (math.isfinite(tw) and math.isfinite(th) and tw > 0 and th > 0):
+                raise InvalidSpecError(f"template shape ({tw}, {th}) must be positive and finite")
         object.__setattr__(self, "templates", tuple((float(tw), float(th)) for tw, th in self.templates))
 
     @property

@@ -584,8 +584,11 @@ def space_from_obj(obj) -> SearchSpace:
     dims = []
     for entry in obj:
         try:
-            dims.append(Dim(name=str(entry["name"]), lo=float(entry["lo"]),
-                            hi=float(entry["hi"]), is_integer=bool(entry.get("integer", False))))
+            name, integer = str(entry["name"]), entry.get("integer", False)
+            if type(integer) is not bool:
+                raise ValueError(f"integer must be true or false, got {integer!r}")
+            dims.append(Dim(name=name, lo=_number(entry, "lo"), hi=_number(entry, "hi"),
+                            is_integer=integer))
         except (KeyError, TypeError) as e:
             raise ValueError(f"bad dimension entry {entry!r}: {e}") from None
     return SearchSpace(tuple(dims))

@@ -168,81 +168,78 @@ def thread_cap() -> int:
 
 def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray,
               factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each box's anchor preference as one C-ordered (N, A) key, lowest
-    first, ties toward the lower index; and each box's count of
+    """Each box's anchor preference as one C-ordered (N, A) int64 key,
+    lowest first, ties toward the lower index; and each box's count of
     overlapping anchors. Both arrays must have passed ``as_box_array``;
     ``factors`` is ``_grid_factors(anchor_arr)``, with which the IOU and
     distance kernels compute per-axis terms on a grid and give the same
     floats as anchor by anchor.
 
-    Overlapping anchors key as -iou in [-1, 0), the rest as their
-    Euclidean distance, >= 0. IOUs are compared directly, not as 1-IOU,
-    which rounds distinct small IOUs to one float and ties them. Distances
-    that overflow are capped at the largest float, so no key is +inf, the
-    mark of a taken anchor; finite distances are below sqrt of that cap.
-    The overflow is expected here, so it raises no warning, in this
-    thread or a worker. No key is NaN: ``_iou_matrix`` raises first. The
-    key is built in the distance matrix's buffer as ``d * (iou == 0) -
-    iou``, which is ``-iou`` or ``d`` exactly, since the capped ``d`` is
-    finite, in the kernels' memory order, and made C-ordered last.
+    The key is made of float bits, which grow with the float from 0.0 up:
+    ``-bits(iou)`` < 0 for an overlapping anchor, by descending IOU, else
+    ``bits(d)`` >= 0 of the Euclidean distance, by ascending distance;
+    equal floats give equal keys. IOUs are compared directly, not as
+    1-IOU, which rounds distinct small IOUs to one float and ties them. A
+    distance that overflows is +inf, whose bits lie above every finite
+    distance's and below the int64 maximum, the mark of a taken anchor;
+    the overflow raises no warning, in this thread or a worker.
+    ``_iou_matrix`` raises before any IOU is NaN, and a -0.0 IOU is folded
+    into 0.0 first, whose bits are 0. The key is built in the distance
+    matrix's buffer, in the kernels' memory order, and made C-ordered last.
     """
     iou = _iou_matrix(boxes, anchor_arr, factors)
     with np.errstate(over="ignore"):
-        key = _euclidean_distance_matrix(boxes, anchor_arr, factors)
-    np.minimum(key, np.finfo(np.float64).max, out=key)
+        key = _euclidean_distance_matrix(boxes, anchor_arr, factors).view(np.int64)
     free = iou == 0.0
-    np.multiply(key, free, out=key)
-    key -= iou
+    key *= free
+    iou += 0.0
+    key -= iou.view(np.int64)
     return np.ascontiguousarray(key), key.shape[1] - free.sum(axis=1, dtype=np.int32)
 
 
 def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> int:
-    """Write ``np.argsort(key, axis=1, kind="stable")`` into the int64
-    array ``out`` with one integer sort per row; return how many rows
-    needed the stable sort after all.
+    """Write ``np.argsort(key, axis=1, kind="stable")`` of the int64 array
+    ``key`` into the int64 array ``out`` with one integer sort per row;
+    return how many rows needed the stable sort after all.
 
-    Each float64 key, ``+ 0.0`` to fold -0.0 into 0.0, maps to an int64 of
-    the same order: its bits, all but the sign flipped when it is negative.
-    The low ``b = (A - 1).bit_length()`` bits of that are replaced by the
-    column index and each row sorted once (numpy's SIMD integer sort); the
-    low ``b`` bits of the result are the ids. The row is then ordered by
-    (high bits, index). It is ordered by (key, index), the stable order,
-    when the keys gathered by its ids never decrease. A row where two
-    distinct keys agree above bit ``b`` may fail that check; the stable
-    argsort of its gathered keys then finishes it. Equal keys share their
-    high bits, so they already stand in index order there, which a stable
-    sort keeps, and the nearly sorted row costs it little. ``key`` must
-    hold no NaN and is left unchanged.
+    The low ``b = (A - 1).bit_length()`` bits of each key are replaced by
+    the column index and each row sorted once (numpy's SIMD integer sort);
+    the low ``b`` bits of the result are the ids. The row is then ordered
+    by (high bits, index). It is ordered by (key, index), the stable order,
+    when the keys gathered by its ids never decrease. Rows where two
+    distinct keys agree above bit ``b`` may fail that check; one stable
+    argsort of their gathered keys then finishes them all. Equal keys
+    share their high bits, so they already stand in index order there,
+    which a stable sort keeps, and the nearly sorted rows cost it little.
+    ``key`` is left unchanged.
     """
     n, a = key.shape
     low = np.int64((1 << (a - 1).bit_length()) - 1)
-    bits = np.add(key, 0.0).view(np.int64)
-    np.right_shift(bits, 63, out=out)  # -1 where the key is negative, else 0
-    out &= np.iinfo(np.int64).max
-    bits ^= out  # all but the sign flipped where negative
-    np.bitwise_and(bits, ~low, out=out)
+    np.bitwise_and(key, ~low, out=out)
     out |= np.arange(a)
     out.sort(axis=1)
     out &= low
-    # gather the keys by flat index, into the now free buffer of ``bits``
+    # gather the keys by flat index
     row_start = np.arange(n)[:, None] * a
     out += row_start
-    got = np.take(key.ravel(), out, out=bits.view(np.float64), mode="clip")
+    got = np.take(key.ravel(), out, mode="clip")
     out -= row_start
     redo = np.flatnonzero((got[:, 1:] < got[:, :-1]).any(axis=1))
-    for r in redo:
-        out[r] = out[r, np.argsort(got[r], kind="stable")]
+    out[redo] = np.take_along_axis(out[redo], np.argsort(got[redo], axis=1, kind="stable"), axis=1)
     return len(redo)
 
 
 def _take_cheapest(key: np.ndarray, order) -> np.ndarray:
     """Each row in ``order`` takes its cheapest column (the first on ties),
-    which is then struck out as +inf. Overwrites ``key``."""
+    which is then struck out with the largest value of ``key``'s dtype:
+    +inf for float costs, the int64 maximum for ``_rank_key``'s key.
+    Overwrites ``key``."""
+    taken = key.dtype.type(np.inf if key.dtype.kind == "f" else np.iinfo(key.dtype).max)
     chosen = np.empty(len(key), dtype=np.int64)
     for g in order:
         a = int(np.argmin(key[g]))
         chosen[g] = a
-        key[:, a] = np.inf
+        key[:, a] = taken
     return chosen
 
 

@@ -87,6 +87,14 @@ class TestMatch:
                        "--templates", "16x12,32x24", "--out", str(tmp_path / "x"))
         assert code == 1  # template count does not match K
 
+    @pytest.mark.parametrize("templates", ["nanx12,32x24", "16x12,32xinf", "infx12,32x24"])
+    def test_non_finite_template_is_usage_error(self, record_file, tmp_path, capsys, templates):
+        code = run_cli("match", "--algo", "serial", "--records", str(record_file),
+                       "--grid", "3x3x2", "--image", "96x96",
+                       "--templates", templates, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "template shape" in capsys.readouterr().err
+
     def test_missing_records_is_data_error(self, tmp_path):
         code = run_cli("match", "--algo", "serial", "--records",
                        str(tmp_path / "absent.odr"), *GRID_FLAGS,
@@ -195,6 +203,23 @@ class TestBench:
         assert report["predicted_speedup"] == pytest.approx(9 / 6)
         assert report["speedup"] > 1.0
 
+    def test_report_without_modeled_cost_is_json(self, record_file, tmp_path):
+        # no stage has a cost: the predicted rate is inf, and the predicted
+        # speedup inf / inf; both are written as null
+        cfg = tmp_path / "free.json"
+        cfg.write_text('{"stages": [{"name": "load"}], "batch_size": 2, "n_batches": 3}')
+        out = tmp_path / "report.json"
+        assert run_cli("bench", "--pipeline", str(cfg), "--records", str(record_file),
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert report["predicted_batches_per_sec"] is None
+        assert report["batches_per_sec"] > 0 and report["n_batches_processed"] == 3
+        assert run_cli("bench", "--compare", str(cfg), str(cfg), "--records", str(record_file),
+                       "--out", str(out)) == 0
+        report = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert report["predicted_speedup"] is None and report["speedup"] > 0
+        assert report["a"]["predicted_batches_per_sec"] is None
+
     def test_malformed_config_is_data_error(self, record_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -254,6 +279,13 @@ class TestHyperopt:
         assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
                        "--objective", "builtin:parabola", "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 5
+
+    def test_wrongly_typed_space_field_is_data_error(self, tmp_path, capsys):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": "x", "lo": 0, "hi": 1, "integer": "false"}]))
+        assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
+                       "--objective", "builtin:parabola") == 2
+        assert "integer must be true or false" in capsys.readouterr().err
 
     def test_conflicting_modes_usage_error(self, tmp_path):
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,15 @@ class TestAnchorGrid:
     def test_empty_templates_rejected(self):
         with pytest.raises(InvalidSpecError):
             GridSpec(image_w=100, image_h=100, grid_w=1, grid_h=1, templates=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["image_w", "image_h", "template_w", "template_h"])
+    def test_non_finite_sizes_rejected(self, bad, field):
+        sizes = {"image_w": 100.0, "image_h": 100.0, "template_w": 10.0, "template_h": 10.0}
+        sizes[field] = bad
+        with pytest.raises(InvalidSpecError, match="finite"):
+            GridSpec(image_w=sizes["image_w"], image_h=sizes["image_h"], grid_w=2, grid_h=2,
+                     templates=((sizes["template_w"], sizes["template_h"]),))
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)

@@ -534,6 +534,15 @@ class TestSpaceIO:
         with pytest.raises(ValueError):
             hp.load_bundled_space("table99")
 
+    @pytest.mark.parametrize("field, value", [
+        ("integer", "false"), ("integer", 1), ("integer", None),
+        ("lo", "0"), ("lo", False), ("hi", True), ("hi", [1])])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        entry = {"name": "x", "lo": 0, "hi": 1, "integer": False}
+        entry[field] = value
+        with pytest.raises(ValueError, match=field):
+            hp.space_from_obj([entry])
+
     def test_malformed_space_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"name": "x", "lo": 0}]')

@@ -409,7 +409,8 @@ class TestOneRankKey:
 
     def test_key_at_the_float_cap(self):
         # one row holds an overlapping anchor and one whose distance
-        # overflows to the cap: d * 0 - iou and d * 1 - 0 stay exact there
+        # overflows to +inf: its key, bits(inf), lies above every finite
+        # distance's, where the float key's cap put it
         anchors = np.array([[10.0, 10, 4, 4], [1e160, 1e160, 1, 1], [30.0, 10, 4, 4]])
         boxes = np.array([[11.0, 10, 4, 4]])
         key, crossover = matching._rank_key(boxes, anchors)
@@ -417,7 +418,8 @@ class TestOneRankKey:
         with np.errstate(over="ignore"):
             dist = euclidean_distance_matrix(boxes, anchors)[0]
         assert np.isinf(dist[1])
-        assert key[0].tolist() == [-iou[0], np.finfo(np.float64).max, dist[2]]
+        assert key[0].tolist() == [-_bits(iou[0]), _bits(np.inf), _bits(dist[2])]
+        assert key.dtype == np.int64 and _bits(np.finfo(np.float64).max) < key[0, 1]
         assert 0 < iou[0] < 1 and crossover.tolist() == [1]
         ranking = build_rankings(anchors, to_sparse([boxes]))
         want_ids, want_crossover = _seed_build_rankings(anchors, to_sparse([boxes]))
@@ -516,18 +518,24 @@ class TestBuildRankings:
         assert np.array_equal(r1.crossover, r7.crossover)
 
 
-KEY_POOL = [-1.0, -0.0, 0.0, 5e-324, np.finfo(np.float64).max]
+def _bits(x) -> int:
+    """The int64 whose bits are those of the float64 ``x``."""
+    return int(np.float64(x).view(np.int64))
+
+
+I64 = np.iinfo(np.int64)
+KEY_POOL = [I64.min, -_bits(1.0), -1, 0, 1, _bits(np.inf), I64.max]
 
 
 class TestStableArgsortRows:
     """The row sort build_rankings uses equals numpy's stable argsort
     bitwise, on keys where nearly every key has a tie."""
 
-    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=64),
+    @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=64),
                   elements=st.sampled_from(KEY_POOL)))
-    @example(np.empty((0, 7)))
-    @example(np.full((3, 1), -0.0))
-    @example(np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, -1.0]]))
+    @example(np.empty((0, 7), dtype=np.int64))
+    @example(np.full((3, 1), I64.min))
+    @example(np.array([[I64.max, 0, I64.min, 0, 1, _bits(np.inf), I64.max, -1]]))
     @settings(max_examples=300, deadline=None)
     def test_equals_stable_argsort(self, key):
         out = np.empty(key.shape, dtype=np.int64)
@@ -537,41 +545,31 @@ class TestStableArgsortRows:
     def test_wide_rows_tag_in_int64(self):
         # 46,341 columns: run * A + index no longer fits in int32
         rng = np.random.default_rng(0)
-        key = rng.choice(KEY_POOL + [3.5, 7.0], size=(2, 46_341))
+        key = rng.choice(KEY_POOL + [3, 7], size=(2, 46_341))
         out = np.empty(key.shape, dtype=np.int64)
         matching._stable_argsort_rows(key, out)
         assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
 
 
-def _ulps_away(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``x`` moved ``steps`` representable floats up (or down, if negative),
-    by repeated ``np.nextafter``."""
-    x = x.copy()
-    with np.errstate(over="ignore"):  # the largest float steps up to inf
-        for i in range(int(np.abs(steps).max(initial=0))):
-            up, down = steps > i, steps < -i
-            x[up] = np.nextafter(x[up], np.inf)
-            x[down] = np.nextafter(x[down], -np.inf)
-    return x
-
-
-NEAR_BASES = [-1.0, -0.25, 0.0, 1.0, 3.5, np.finfo(np.float64).max]
+# rank keys of IOU 1 and 0.25, of distance 0, 1, 3.5 and the largest float
+NEAR_BASES = [-_bits(1.0), -_bits(0.25), 0, _bits(1.0), _bits(3.5),
+              _bits(np.finfo(np.float64).max)]
 
 
 @st.composite
 def near_tie_blocks(draw):
-    """A block of rows whose keys lie within 2**b floats of a few bases,
+    """A block of int64 rows whose keys lie within 2**b of a few bases,
     b = (A - 1).bit_length(): distinct keys there often share every bit the
-    composite sort keeps. Its first row must be re-sorted (a key one float
-    above the next one's, at the lower index), its second needs no re-sort."""
+    composite sort keeps. Its first row must be re-sorted (a key one above
+    the next one's, at the lower index), its second needs no re-sort."""
     a = draw(st.integers(2, 48))
     span = 1 << (a - 1).bit_length()
     n = draw(st.integers(0, 6))
-    base = draw(arrays(np.float64, (n, a), elements=st.sampled_from(NEAR_BASES)))
+    base = draw(arrays(np.int64, (n, a), elements=st.sampled_from(NEAR_BASES)))
     steps = draw(arrays(np.int64, (n, a), elements=st.integers(-span, span)))
-    first = np.ones(a)
-    first[0] = np.nextafter(1.0, 2.0)
-    return np.vstack([first, np.zeros(a), _ulps_away(base, steps)])
+    first = np.full(a, _bits(1.0))
+    first[0] += 1
+    return np.vstack([first, np.zeros(a, dtype=np.int64), base + steps])
 
 
 class TestCompositeRowSort:
@@ -589,11 +587,12 @@ class TestCompositeRowSort:
     def test_one_ulp_iou_tie_of_seed_32(self):
         # two anchors lie inside box 0 and box 1 of the first image: their
         # exact IOUs tie, the computed ones differ by one ulp, and the
-        # larger one (anchor 12) outranks anchor 3 though its index is higher
+        # larger one (anchor 12) outranks anchor 3 though its index is higher;
+        # one ulp more IOU is one less key
         anchors, batch = random_geometric_instance(np.random.default_rng(32))
         boxes = batch[0]
         key = matching._rank_key(boxes, anchors)[0]
-        assert np.nextafter(key[:, 12], 0.0).tolist() == key[:, 3].tolist()
+        assert (key[:, 12] + 1).tolist() == key[:, 3].tolist()
         out = np.empty(key.shape, dtype=np.int64)
         assert matching._stable_argsort_rows(key, out) == 2
         assert np.array_equal(out, np.argsort(key, axis=1, kind="stable"))
