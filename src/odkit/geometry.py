@@ -8,6 +8,7 @@ in this package's interfaces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -281,6 +282,9 @@ class GridSpec:
         if not (math.isfinite(self.image_w) and math.isfinite(self.image_h)
                 and self.image_w > 0 and self.image_h > 0):
             raise InvalidSpecError("image dimensions must be positive and finite")
+        for size in (self.grid_w, self.grid_h):
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise InvalidSpecError(f"grid dimensions must be integers, got {size!r}")
         if self.grid_w < 1 or self.grid_h < 1:
             raise InvalidSpecError("grid dimensions must be >= 1")
         if len(self.templates) == 0:

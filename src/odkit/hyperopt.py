@@ -29,6 +29,7 @@ a ``tell`` costs O(n*d) rather than re-deriving every pairwise slope.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -43,6 +44,10 @@ from scipy.spatial.distance import pdist
 _MAX_DRAWS = 1000
 _TR_MULTISTARTS = 4
 _CHECKPOINT_FORMAT = "odkit.hyperopt.state/1"
+# L-BFGS-B's default gradient: forward differences with absolute step 1e-8,
+# or sqrt(eps) * sign(x) * max(1, |x|) where x + 1e-8 rounds back to x
+_FD_STEP = 1e-8
+_FD_REL_STEP = float(np.finfo(np.float64).eps) ** 0.5
 
 
 class ProtocolError(RuntimeError):
@@ -65,6 +70,8 @@ class Dim:
             raise ValueError(f"dim {self.name!r}: bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"dim {self.name!r}: lo must be < hi, got [{self.lo}, {self.hi}]")
+        if self.is_integer and math.ceil(self.lo) > self.hi:
+            raise ValueError(f"integer dim {self.name!r}: no integer in [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -206,12 +213,13 @@ def new_optimizer(space: SearchSpace, exploration_p: float = 0.1, alpha: float =
 
 
 def round_integers(point, space: SearchSpace) -> np.ndarray:
-    """Round integer dims half away from zero, then clamp to their bounds."""
+    """Round integer dims half away from zero, then clamp them to the
+    integers within their bounds."""
     p = np.asarray(point, dtype=np.float64).copy()
     for i, dim in enumerate(space.dims):
         if dim.is_integer:
             v = math.floor(abs(p[i]) + 0.5) * (1 if p[i] >= 0 else -1)
-            p[i] = min(max(v, dim.lo), dim.hi)
+            p[i] = min(max(v, math.ceil(dim.lo)), math.floor(dim.hi))
     return p
 
 
@@ -279,19 +287,23 @@ def _trial_arrays(state: OptimizerState) -> tuple[np.ndarray, np.ndarray]:
     return cache.points[:cache.n], cache.values[:cache.n]
 
 
+@functools.cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d)``, the (i, j) of the second-order terms, made
+    once per dimension count and read-only, as every caller shares them."""
+    i, j = np.triu_indices(d)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _quad_features(x: np.ndarray) -> np.ndarray:
-    d = len(x)
-    feats = [1.0]
-    feats.extend(x)
-    for i in range(d):
-        for j in range(i, d):
-            feats.append(x[i] * x[j])
-    return np.array(feats)
+    i, j = _pairs(len(x))
+    return np.concatenate(([1.0], x, x[i] * x[j]))
 
 
 def _quad_design(pts: np.ndarray) -> np.ndarray:
     """Rows of ``_quad_features`` for every point, built in one step."""
-    i, j = np.triu_indices(pts.shape[1])
+    i, j = _pairs(pts.shape[1])
     return np.hstack([np.ones((len(pts), 1)), pts, pts[:, i] * pts[:, j]])
 
 
@@ -348,16 +360,72 @@ def _ask_global(state: OptimizerState) -> np.ndarray:
     return top
 
 
+def _forward_step(x: float, lo: float, hi: float) -> float:
+    """scipy's 2-point step for one coordinate of ``x`` in ``[lo, hi]``.
+
+    This is ``approx_derivative(method="2-point", abs_step=1e-8)``'s step,
+    after its '1-sided' bounds adjustment: a step that leaves the box is
+    reversed if it fits the other way, and otherwise becomes the distance
+    to the farther bound.
+    """
+    h = _FD_STEP
+    if (x + h) - x == 0:
+        h = _FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(1.0, abs(x))
+    lower, upper = x - lo, hi - x
+    # each test is false for a NaN x, as numpy's are, so NaN keeps its step
+    if abs(h) <= lower or abs(h) <= upper:
+        if x + h < lo or x + h > hi:
+            h = -h
+    elif upper >= lower:
+        h = upper
+    elif upper < lower:
+        h = -lower
+    return h
+
+
+def _negated_with_gradient(model: TrustRegionModel, bounds: list[tuple[float, float]]):
+    """``x -> (-model.predict(x), gradient)`` for L-BFGS-B on the box
+    ``bounds``, one ``(lo, hi)`` per coordinate.
+
+    The gradient is the forward difference scipy computes when no ``jac``
+    is given, float for float: each perturbed point differs from ``x`` only
+    in coordinate i, and ``g[i] = (f(x1) - f(x)) / ((x[i] + h) - x[i])``,
+    divided as numpy divides, so a zero step gives inf or NaN as there.
+    """
+    def fun(x: np.ndarray):
+        f0 = -model.predict(x)
+        df, dx = np.empty(len(x)), np.empty(len(x))
+        x1 = x.copy()
+        for i, (xi, (l, u)) in enumerate(zip(x.tolist(), bounds)):
+            h = _forward_step(xi, l, u)
+            x1[i] = xi + h
+            df[i] = -model.predict(x1) - f0
+            dx[i] = (xi + h) - xi
+            x1[i] = xi
+        return f0, df / dx
+    return fun
+
+
 def _ask_local(state: OptimizerState, model: TrustRegionModel) -> np.ndarray:
+    """Best of the centre and ``_TR_MULTISTARTS`` uniform starts, each
+    pushed uphill on the surrogate by L-BFGS-B inside the trust box.
+
+    L-BFGS-B gets its gradient from ``_negated_with_gradient``, which
+    mirrors scipy's default for a missing ``jac``:
+    ``approx_derivative(f, x, method="2-point", abs_step=1e-8,
+    bounds=(lo, hi))``. The floats are the same, so the iterates, the
+    candidate and the trial log are too.
+    """
     lo = np.maximum(state.space.lows, model.center - model.radius)
     hi = np.minimum(state.space.highs, model.center + model.radius)
-    bounds = list(zip(lo, hi))
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    fun = _negated_with_gradient(model, bounds)
     starts = [model.center.copy()]
     for _ in range(_TR_MULTISTARTS):
         starts.append(state.rng.uniform(lo, hi))
     best_x, best_v = None, -np.inf
     for x0 in starts:
-        res = scipy.optimize.minimize(lambda x: -model.predict(x), np.clip(x0, lo, hi),
+        res = scipy.optimize.minimize(fun, np.clip(x0, lo, hi), jac=True,
                                       method="L-BFGS-B", bounds=bounds)
         for cand in (np.clip(res.x, lo, hi), np.clip(x0, lo, hi)):
             v = model.predict(cand)

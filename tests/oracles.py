@@ -4,8 +4,8 @@ Everything here is deliberately written by a different method than the
 library code: IOU by point counting instead of interval arithmetic,
 assignments by exhaustive enumeration instead of Hungarian/greedy
 selection, search baselines by plain uniform sampling. Slow is fine;
-these run at test scale only. The exception is the frozen earlier
-matcher code near the end, which faster rewrites must reproduce exactly.
+these run at test scale only. The exceptions are the frozen earlier
+matcher and optimizer code, which faster rewrites must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -300,6 +300,44 @@ def grid_stress_boxes(rng: np.random.Generator, anchors: np.ndarray, n: int) -> 
         else:
             boxes[b] = (*(rng.random(2) * span), *rng.uniform(0.5, 1.2, 2) * span)
     return boxes
+
+
+def _loop_features(x) -> np.ndarray:
+    """Quadratic features built term by term: constant, x_i, then x_i*x_j
+    for i <= j in lexicographic order."""
+    d = len(x)
+    feats = [1.0]
+    feats.extend(x)
+    for i in range(d):
+        for j in range(i, d):
+            feats.append(x[i] * x[j])
+    return np.array(feats)
+
+
+def scipy_fd_ask_local(state, model) -> np.ndarray:
+    """``hyperopt._ask_local`` as it was when L-BFGS-B estimated the
+    surrogate's gradient itself (no ``jac``, so scipy's ``approx_derivative``
+    with its default absolute step), with the features built in a loop."""
+    import scipy.optimize
+
+    def predict(x):
+        return float(_loop_features(np.asarray(x, dtype=np.float64)) @ model.quad_coeffs)
+
+    lo = np.maximum(state.space.lows, model.center - model.radius)
+    hi = np.minimum(state.space.highs, model.center + model.radius)
+    bounds = list(zip(lo, hi))
+    starts = [model.center.copy()]
+    for _ in range(4):
+        starts.append(state.rng.uniform(lo, hi))
+    best_x, best_v = None, -np.inf
+    for x0 in starts:
+        res = scipy.optimize.minimize(lambda x: -predict(x), np.clip(x0, lo, hi),
+                                      method="L-BFGS-B", bounds=bounds)
+        for cand in (np.clip(res.x, lo, hi), np.clip(x0, lo, hi)):
+            v = predict(cand)
+            if v > best_v:
+                best_x, best_v = cand, v
+    return best_x
 
 
 def pure_random_search(objective, lows, highs, budget: int, seed: int) -> float:

@@ -287,6 +287,14 @@ class TestHyperopt:
                        "--objective", "builtin:parabola") == 2
         assert "integer must be true or false" in capsys.readouterr().err
 
+    def test_integer_dim_without_an_integer_is_data_error(self, tmp_path, capsys):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": "k", "lo": 0.2, "hi": 0.8, "integer": True},
+                                     {"name": "x", "lo": 0, "hi": 1}]))
+        assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
+                       "--objective", "builtin:parabola") == 2
+        assert "no integer in [0.2, 0.8]" in capsys.readouterr().err
+
     def test_conflicting_modes_usage_error(self, tmp_path):
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",
                        "--objective", "builtin:sphere", "--ask-tell") == 1

@@ -326,6 +326,18 @@ class TestAnchorGrid:
         with pytest.raises(InvalidSpecError):
             GridSpec(image_w=100, image_h=100, grid_w=1, grid_h=1, templates=())
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, math.nan, True, "3"])
+    @pytest.mark.parametrize("field", ["grid_w", "grid_h"])
+    def test_non_integer_grid_sizes_rejected(self, bad, field):
+        sizes = {"grid_w": 2, "grid_h": 2, field: bad}
+        with pytest.raises(InvalidSpecError, match="integers"):
+            GridSpec(image_w=100, image_h=100, templates=((10, 10),), **sizes)
+
+    def test_numpy_integer_grid_sizes_accepted(self):
+        spec = GridSpec(image_w=100, image_h=100, grid_w=np.int64(3), grid_h=np.int32(2),
+                        templates=((10, 10),))
+        assert build_anchor_grid(spec).shape == (6, 4)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["image_w", "image_h", "template_w", "template_h"])
     def test_non_finite_sizes_rejected(self, bad, field):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+import scipy.optimize._differentiable_functions
+import scipy.optimize._numdiff
+from scipy.optimize._numdiff import approx_derivative
 from scipy.spatial.distance import pdist
 
 from odkit import hyperopt as hp
-from oracles import pure_random_search
+from oracles import pure_random_search, scipy_fd_ask_local
 
 UNIT_1D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0),))
 UNIT_2D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0), hp.Dim("y", 0.0, 1.0)))
@@ -46,6 +49,24 @@ class TestConstruction:
             hp.SearchSpace((hp.Dim("x", 1.0, 1.0),))
         with pytest.raises(ValueError):
             hp.SearchSpace((hp.Dim("a", 0, 1), hp.Dim("a", 0, 1)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 0.8), (-0.9, -0.1), (3.5, 3.75)])
+    def test_integer_dim_without_an_integer_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="no integer"):
+            hp.Dim("k", lo, hi, True)
+        with pytest.raises(ValueError, match="no integer"):
+            hp.space_from_obj([{"name": "k", "lo": lo, "hi": hi, "integer": True},
+                               {"name": "x", "lo": 0, "hi": 1}])
+        hp.Dim("k", lo, hi)  # a continuous dim over the same range is fine
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 1.0), (1.0, 1.5), (-0.5, 0.0), (0.0, 1.0)])
+    def test_integer_dim_with_one_integer_accepted(self, lo, hi):
+        space = hp.SearchSpace((hp.Dim("k", lo, hi, True), hp.Dim("x", 0, 1)))
+        state = hp.new_optimizer(space, seed=1)
+        for _ in range(5):
+            x = hp.ask(state)
+            assert space.contains(x)
+            hp.tell(state, x, float(x[1]))
 
     def test_same_seed_same_asks(self):
         f = hp.BUILTIN_OBJECTIVES["quad2"]
@@ -259,6 +280,13 @@ class TestRoundIntegers:
         assert hp.round_integers([16.0, 0.37], self.SPACE)[0] == 16.0
         assert hp.round_integers([16.2, 0.37], self.SPACE)[0] == 16.0
         assert hp.round_integers([0.4, 0.37], self.SPACE)[0] == 1.0
+
+    def test_clamped_to_the_integers_within_fractional_bounds(self):
+        space = hp.SearchSpace((hp.Dim("n", 0.2, 3.7, is_integer=True),))
+        assert hp.round_integers([0.4], space)[0] == 1.0
+        assert hp.round_integers([0.2], space)[0] == 1.0
+        assert hp.round_integers([3.7], space)[0] == 3.0
+        assert hp.round_integers([2.5], space)[0] == 3.0
 
     def test_continuous_untouched(self):
         assert hp.round_integers([3.0, 0.37251], self.SPACE)[1] == 0.37251
@@ -513,6 +541,129 @@ class TestTrialCache:
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def _quadratic_coeffs(hessian: np.ndarray, linear: np.ndarray, const: float) -> np.ndarray:
+    """quad_coeffs of ``const + linear @ x + x @ hessian @ x / 2``."""
+    i, j = np.triu_indices(len(linear))
+    second = np.where(i == j, 0.5, 1.0) * hessian[i, j]
+    return np.concatenate(([const], linear, second))
+
+
+_MIXED_SPACE = hp.SearchSpace((hp.Dim("a", -2.0, 3.0), hp.Dim("b", 0.0, 1e-3),
+                               hp.Dim("c", 10.0, 5e4), hp.Dim("n", 1, 16, is_integer=True)))
+
+
+@st.composite
+def _trust_region_models(draw):
+    """A space, a surrogate with convex, concave or indefinite curvature,
+    a centre on, near or between the bounds, and a radius down to the
+    1e-6 * diagonal floor."""
+    space = draw(st.sampled_from([UNIT_2D, _MIXED_SPACE, hp.load_bundled_space("table3")]))
+    d, lows, highs = space.d, space.lows, space.highs
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["convex", "concave", "indefinite"]))
+    eigs = 10.0 ** rng.uniform(-3, 3, d)
+    if kind == "concave":
+        eigs = -eigs
+    elif kind == "indefinite":
+        eigs[: max(1, d // 2)] *= -1
+    scale = np.diag(1.0 / (highs - lows))  # curvature on the unit box
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    hessian = scale @ q @ np.diag(eigs) @ q.T @ scale
+    linear = rng.normal(size=d) / (highs - lows)
+    coeffs = _quadratic_coeffs(hessian, linear, float(rng.normal()))
+    width = highs - lows
+    where = draw(st.lists(st.sampled_from(["lo", "hi", "near lo", "near hi", "inside"]),
+                          min_size=d, max_size=d))
+    centre = np.array([
+        {"lo": lo, "hi": hi, "near lo": lo + 5e-9, "near hi": hi - 5e-9,
+         "inside": lo + w * rng.uniform()}[k]
+        for k, lo, hi, w in zip(where, lows, highs, width)])
+    radius = space.diagonal * draw(st.sampled_from([1e-6, 1e-4, 1e-2, 0.25, 1.0]))
+    model = hp.TrustRegionModel(center=centre, radius=radius, quad_coeffs=coeffs,
+                                fit_points=np.empty((0, d)), fit_values=np.empty(0))
+    return space, model
+
+
+class TestLocalAskGradient:
+    """Local asks compute L-BFGS-B's default gradient themselves. The floats
+    are scipy's, so candidates and trial logs are those of the frozen
+    ``oracles.scipy_fd_ask_local``."""
+
+    @given(_trust_region_models(), st.integers(0, 2**31))
+    @settings(max_examples=150, deadline=None)
+    def test_same_candidate_and_rng_as_scipy_gradient(self, drawn, seed):
+        space, model = drawn
+        state, ref_state = hp.new_optimizer(space, seed=seed), hp.new_optimizer(space, seed=seed)
+        got = hp._ask_local(state, model)
+        ref = scipy_fd_ask_local(ref_state, model)
+        assert got.tobytes() == ref.tobytes()
+        assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
+    def test_table3_study_log_is_unchanged(self, seed, monkeypatch):
+        space = hp.load_bundled_space("table3")
+        f = _table3_objective(space)
+
+        def study():
+            state = hp.new_optimizer(space, seed=seed)
+            local = 0
+            for _ in range(1000):
+                x = hp.ask(state)
+                local += state.phase == "local"
+                hp.tell(state, x, f(x))
+            return state, local
+
+        state, local = study()
+        monkeypatch.setattr(hp, "_ask_local", scipy_fd_ask_local)
+        ref, ref_local = study()
+        assert local == ref_local > 0
+        assert _trial_log(state) == _trial_log(ref)
+        assert state.tr_fallbacks == ref.tr_fallbacks
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    # (x, lo, hi) per case, two coordinates each
+    GUARD_CASES = {
+        "at lo": ([0.0, -1.0], [0.0, -1.0], [1.0, 2.0]),
+        "at hi": ([1.0, 2.0], [0.0, -1.0], [1.0, 2.0]),
+        "within 1e-8 of lo": ([3e-9, -1.0 + 9e-9], [0.0, -1.0], [1.0, 2.0]),
+        "within 1e-8 of hi": ([1.0 - 3e-9, 2.0 - 9e-9], [0.0, -1.0], [1.0, 2.0]),
+        "narrow box, forward": ([0.5, 2.0], [0.5 - 1e-9, 2.0 - 2e-9], [0.5 + 4e-9, 2.0 + 2e-9]),
+        "narrow box, backward": ([0.5, -2.0], [0.5 - 4e-9, -2.0 - 3e-9], [0.5 + 1e-9, -2.0]),
+        "step lost": ([1e9, -3e12], [1e9 - 100, -3e12 - 1e6], [1e9 + 100, -3e12 + 1e6]),
+        "step lost, narrow box": ([1e9, -3e12], [1e9 - 1, -3e12 - 1e3], [1e9 + 2, -3e12]),
+        "step lost, at bounds": ([1e9, -3e12], [1e9 - 100, -3e12], [1e9, -3e12 + 1e6]),
+        "zero step": ([0.25, 0.5], [0.25, 0.0], [0.25, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    def test_gradient_is_scipy_2_point_rule(self, case):
+        # fails loudly if a scipy upgrade changes the rule the optimizer mirrors
+        x, lo, hi = (np.array(v, dtype=np.float64) for v in self.GUARD_CASES[case])
+        model = hp.TrustRegionModel(
+            center=x, radius=1.0, fit_points=np.empty((0, 2)), fit_values=np.empty(0),
+            quad_coeffs=_quadratic_coeffs(np.array([[-3.0, 1.5], [1.5, 0.5]]),
+                                          np.array([0.7, -1.3]), 0.25))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f, g = hp._negated_with_gradient(model, list(zip(lo, hi)))(x.copy())
+            ref = approx_derivative(lambda z: -model.predict(z), x, method="2-point",
+                                    abs_step=1e-8, bounds=(lo, hi))
+        assert f == -model.predict(x)
+        assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+
+    def test_local_ask_leaves_approx_derivative_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("approx_derivative reached")
+
+        for module in (scipy.optimize._numdiff, scipy.optimize._differentiable_functions):
+            monkeypatch.setattr(module, "approx_derivative", refuse)
+        space, model = UNIT_2D, hp.TrustRegionModel(
+            center=np.array([0.4, 0.6]), radius=0.2, fit_points=np.empty((0, 2)),
+            fit_values=np.empty(0), quad_coeffs=_quadratic_coeffs(
+                -np.eye(2), np.array([0.3, 0.1]), 0.0))
+        x = hp._ask_local(hp.new_optimizer(space, seed=4), model)
+        assert np.all(np.abs(x - model.center) <= model.radius)
+
+
 class TestSpaceIO:
     def test_round_trip(self, tmp_path):
         space = hp.SearchSpace((hp.Dim("n", 1, 16, is_integer=True),
@@ -529,6 +680,10 @@ class TestSpaceIO:
         assert space.dims[0].is_integer
         assert (space.dims[0].lo, space.dims[0].hi) == (1.0, 16.0)
         assert not any(d.is_integer for d in space.dims[1:])
+
+    def test_bundled_table3_passes_the_integer_range_check(self):
+        space = hp.load_bundled_space("table3")
+        assert hp.space_from_obj(hp._space_to_obj(space)) == space
 
     def test_unknown_bundle_rejected(self):
         with pytest.raises(ValueError):
