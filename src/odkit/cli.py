@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import hyperopt as hp
@@ -191,8 +192,6 @@ def _cmd_bench(args) -> int:
         print(f"speedup (b over a): {cmp.speedup:.3f} "
               f"(predicted {cmp.predicted_speedup:.3f})")
     else:
-        if args.pipeline is None:
-            raise _UsageError("bench needs --pipeline CONFIG.json or --compare A B")
         cfg = pipeline.load_config(args.pipeline)
         records = _records_or_synthetic(args.records, [cfg])
         report = pipeline.run_pipeline(cfg, records)
@@ -212,12 +211,25 @@ def _resolve_space(text: str) -> hp.SearchSpace:
     return hp.load_bundled_space(name)
 
 
+class _ReplyError(Exception):
+    """An ``--ask-tell`` reply that is missing or not ``tell VALUE``."""
+
+
+def _stdio_objective(x) -> float:
+    """Print ``x`` as a JSON list; read its value from a ``tell VALUE`` line."""
+    print(json.dumps([float(v) for v in x]), flush=True)
+    line = sys.stdin.readline()
+    if not line:
+        raise _ReplyError("input ended before all asks were answered")
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "tell":
+        raise _ReplyError(f"expected 'tell VALUE', got {line.rstrip()!r}")
+    return float(parts[1])
+
+
 def _cmd_hyperopt(args) -> int:
     space = _resolve_space(args.space)
-    if args.ask_tell and args.objective:
-        raise _UsageError("--ask-tell and --objective are mutually exclusive")
-    if not args.ask_tell and not args.objective:
-        raise _UsageError("hyperopt needs --objective builtin:NAME or --ask-tell")
+    objective = _stdio_objective
     if args.objective:
         try:
             objective = hp.get_objective(args.objective.removeprefix("builtin:"))
@@ -227,32 +239,18 @@ def _cmd_hyperopt(args) -> int:
         raise _UsageError(f"--budget must be >= 1, got {args.budget}")
 
     state = hp.new_optimizer(space, noise_eps=args.noise_eps, seed=args.seed)
-    log = open(args.out, "w", encoding="utf-8") if args.out else None
-    try:
-        for _ in range(args.budget):
-            x = hp.ask(state)
-            if args.ask_tell:
-                print(json.dumps([float(v) for v in x]), flush=True)
-                line = sys.stdin.readline()
-                if not line:
-                    print("input ended before all asks were answered", file=sys.stderr)
-                    return DATA_ERROR
-                parts = line.split()
-                if len(parts) != 2 or parts[0] != "tell":
-                    print(f"expected 'tell VALUE', got {line.rstrip()!r}", file=sys.stderr)
-                    return DATA_ERROR
-                value = float(parts[1])
-            else:
-                value = float(objective(x))
-            trial = hp.tell(state, x, value)
-            entry = {"seq": trial.seq, "point": [float(v) for v in trial.point],
-                     "value": trial.value, "best_so_far": hp.best(state).value,
-                     "phase": state.phase, "lipschitz_k": state.lipschitz_k,
-                     "tr_radius": state.tr_radius, "tr_fallbacks": state.tr_fallbacks}
-            (log or sys.stdout).write(_jsonl_line(entry))
-    finally:
-        if log:
-            log.close()
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as log:
+        def on_trial(trial, best):
+            log.write(_jsonl_line({
+                "seq": trial.seq, "point": [float(v) for v in trial.point],
+                "value": trial.value, "best_so_far": best.value,
+                "phase": state.phase, "lipschitz_k": state.lipschitz_k,
+                "tr_radius": state.tr_radius, "tr_fallbacks": state.tr_fallbacks}))
+        try:
+            hp.run_optimization(state, objective, args.budget, on_trial)
+        except _ReplyError as e:
+            print(e, file=sys.stderr)
+            return DATA_ERROR
     b = hp.best(state)
     print(f"best: value {b.value:.6g} at "
           f"{json.dumps(dict(zip((d.name for d in space.dims), map(float, b.point))))}",
@@ -302,8 +300,9 @@ def build_parser() -> _Parser:
     m.set_defaults(func=_cmd_match)
 
     b = sub.add_parser("bench", help="run a pipeline layout and report throughput")
-    b.add_argument("--pipeline", metavar="CONFIG.json")
-    b.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
+    layout = b.add_mutually_exclusive_group(required=True)
+    layout.add_argument("--pipeline", metavar="CONFIG.json")
+    layout.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     b.add_argument("--records")
     b.add_argument("--out")
     b.set_defaults(func=_cmd_bench)
@@ -311,10 +310,10 @@ def build_parser() -> _Parser:
     h = sub.add_parser("hyperopt", help="maximize an objective over a search space")
     h.add_argument("--space", required=True)
     h.add_argument("--budget", type=int, required=True)
-    h.add_argument("--objective", metavar="builtin:NAME")
-    h.add_argument("--ask-tell", action="store_true",
-                   help="print each candidate to stdout; read 'tell VALUE' lines "
-                        "from stdin")
+    mode = h.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--objective", metavar="builtin:NAME")
+    mode.add_argument("--ask-tell", action="store_true",
+                      help="print each candidate to stdout; read 'tell VALUE' lines from stdin")
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--noise-eps", type=float, default=0.0)
     h.add_argument("--out", metavar="TRIALS.jsonl")

@@ -74,9 +74,17 @@ class Dim:
             raise ValueError(f"integer dim {self.name!r}: no integer in [{self.lo}, {self.hi}]")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     dims: tuple[Dim, ...]
+    # the bounds as read-only arrays, made once, as they are read per draw and per ask
+    lows: np.ndarray = field(init=False, repr=False, compare=False)
+    highs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -85,22 +93,17 @@ class SearchSpace:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise ValueError(f"dimension names must be unique, got {names}")
+        object.__setattr__(self, "lows", _read_only(np.array([d.lo for d in self.dims])))
+        object.__setattr__(self, "highs", _read_only(np.array([d.hi for d in self.dims])))
 
     @property
     def d(self) -> int:
         return len(self.dims)
 
-    @property
-    def lows(self) -> np.ndarray:
-        return np.array([d.lo for d in self.dims])
-
-    @property
-    def highs(self) -> np.ndarray:
-        return np.array([d.hi for d in self.dims])
-
-    @property
+    @functools.cached_property
     def diagonal(self) -> float:
-        return float(np.linalg.norm(self.highs - self.lows))
+        with np.errstate(over="ignore"):  # inf for a space too wide for float64
+            return float(np.linalg.norm(self.highs - self.lows))
 
     @property
     def n_quad_terms(self) -> int:
@@ -204,10 +207,13 @@ def new_optimizer(space: SearchSpace, exploration_p: float = 0.1, alpha: float =
                   noise_eps: float = 0.0, seed: int = 0) -> OptimizerState:
     if not 0.0 <= exploration_p <= 1.0:
         raise ValueError(f"exploration_p must be in [0, 1], got {exploration_p}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if noise_eps < 0.0:
-        raise ValueError(f"noise_eps must be >= 0, got {noise_eps}")
+    # k grows in steps of (1 + alpha), so 1 + alpha must exceed 1 in float64
+    if not (math.isfinite(alpha) and 1.0 + alpha > 1.0):
+        raise ValueError(f"alpha must be finite and > 0 with 1 + alpha > 1, got {alpha}")
+    if not (math.isfinite(noise_eps) and noise_eps >= 0.0):
+        raise ValueError(f"noise_eps must be finite and >= 0, got {noise_eps}")
+    if not math.isfinite(space.diagonal):
+        raise ValueError(f"search space too wide: its diagonal is {space.diagonal} in float64")
     return OptimizerState(space=space, exploration_p=exploration_p, alpha=alpha,
                           noise_eps=noise_eps, rng_seed=int(seed))
 
@@ -311,8 +317,9 @@ def fit_quadratic_tr(state: OptimizerState) -> TrustRegionModel:
     """Least-squares full quadratic over the trials nearest the best point.
 
     Uses m = min(2 * n_terms, all) fit points. A design matrix with rank
-    below the term count raises :class:`RankDeficiencyError`; callers treat
-    that as "stay global this iteration".
+    below the term count, or with a term that overflows float64, raises
+    :class:`RankDeficiencyError`; callers treat that as "stay global this
+    iteration".
     """
     n_terms = state.space.n_quad_terms
     if len(state.trials) < n_terms:
@@ -323,7 +330,10 @@ def fit_quadratic_tr(state: OptimizerState) -> TrustRegionModel:
     order = np.argsort(np.linalg.norm(pts - center, axis=1), kind="stable")
     keep = order[: min(2 * n_terms, len(order))]
     fit_points, fit_values = pts[keep], vals[keep]
-    design = _quad_design(fit_points)
+    with np.errstate(over="ignore"):  # an overflowing term is caught below
+        design = _quad_design(fit_points)
+    if not np.isfinite(design).all():
+        raise RankDeficiencyError("quadratic terms of the fit points overflow float64")
     coeffs, _, rank, _ = np.linalg.lstsq(design, fit_values, rcond=None)
     if rank < n_terms:
         raise RankDeficiencyError(
@@ -646,13 +656,23 @@ def _float_array(value, shape: tuple, what: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- space I/O
 
+_DIM_KEYS = {"name", "lo", "hi", "integer"}
+
+
 def space_from_obj(obj) -> SearchSpace:
+    """A space from a JSON list of ``{"name", "lo", "hi", "integer"}``
+    objects; ``integer`` is optional and false by default."""
     if not isinstance(obj, list):
         raise ValueError("space file must be a JSON list of dimension objects")
     dims = []
     for entry in obj:
         try:
-            name, integer = str(entry["name"]), entry.get("integer", False)
+            name, integer = entry["name"], entry.get("integer", False)
+            if not isinstance(name, str):
+                raise ValueError(f"name must be a string, got {name!r}")
+            if unknown := set(entry) - _DIM_KEYS:
+                raise ValueError(f"dim {name!r}: unknown keys {sorted(unknown)}, "
+                                 f"expected some of {sorted(_DIM_KEYS)}")
             if type(integer) is not bool:
                 raise ValueError(f"integer must be true or false, got {integer!r}")
             dims.append(Dim(name=name, lo=_number(entry, "lo"), hi=_number(entry, "hi"),

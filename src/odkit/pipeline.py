@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import queue
 import threading
 import time
@@ -32,6 +33,10 @@ _PLACEMENTS = ("host", "accelerator")
 # the first stage is charged transfer if it is not host-placed, since
 # input records originate on the host
 _SOURCE_PLACEMENT = "host"
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class DataUnderrunError(RuntimeError):
@@ -48,8 +53,9 @@ class StageSpec:
     """One pipeline stage: a cost model plus an optional real workload.
 
     ``fixed_ms`` is charged per batch, ``per_box_ms`` per ground-truth box
-    in the batch. When ``fn`` is set the stage runs it instead of sleeping
-    (fn receives and returns the batch payload dict).
+    in the batch. The latencies are finite, non-negative real numbers (not
+    bools). When ``fn`` is set the stage runs it instead of sleeping (fn
+    receives and returns the batch payload dict).
     """
 
     name: str
@@ -60,9 +66,15 @@ class StageSpec:
     fn: object = None
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0
-                   for v in (self.fixed_ms, self.per_box_ms, self.transfer_cost_ms)):
-            raise ValueError(f"stage {self.name!r}: latencies must be finite and >= 0")
+        if not isinstance(self.name, str):
+            raise ValueError(f"stage name must be a str, got {self.name!r}")
+        for field in ("fixed_ms", "per_box_ms", "transfer_cost_ms"):
+            v = getattr(self, field)
+            if not (_is_real(v) and math.isfinite(v) and v >= 0):
+                raise ValueError(f"stage {self.name!r}: latencies must be finite and >= 0, "
+                                 f"got {field}={v!r}")
+        if self.fn is not None and not callable(self.fn):
+            raise ValueError(f"stage {self.name!r}: fn must be callable or None, got {self.fn!r}")
         if self.placement not in _PLACEMENTS:
             raise ValueError(
                 f"stage {self.name!r}: placement must be one of {_PLACEMENTS}, "
@@ -71,6 +83,9 @@ class StageSpec:
 
 @dataclass
 class PipelineConfig:
+    """A pipeline layout. The counts are integers (numpy's too, not bools);
+    ``mean_boxes_per_image`` is a finite, non-negative real number."""
+
     stages: list[StageSpec]
     batch_size: int = 1
     prefetch_depth: int = 0
@@ -81,14 +96,19 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("pipeline needs at least one stage")
+        for field in ("batch_size", "prefetch_depth", "n_batches"):
+            v = getattr(self, field)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {v!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.prefetch_depth < 0:
             raise ValueError(f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
         if self.n_batches < 1:
             raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
-        if not (math.isfinite(self.mean_boxes_per_image) and self.mean_boxes_per_image >= 0):
-            raise ValueError("mean_boxes_per_image must be finite and >= 0")
+        v = self.mean_boxes_per_image
+        if not (_is_real(v) and math.isfinite(v) and v >= 0):
+            raise ValueError(f"mean_boxes_per_image must be finite and >= 0, got {v!r}")
 
 
 @dataclass
@@ -301,19 +321,11 @@ def compare_pipelines(cfg_a: PipelineConfig, cfg_b: PipelineConfig, data) -> Spe
 # ---------------------------------------------------------------- JSON I/O
 
 def config_from_obj(obj: dict) -> PipelineConfig:
+    """The config whose fields are ``obj``'s keys, with ``stages`` a list of
+    ``StageSpec`` field objects. Any fault is a ``ValueError``."""
     try:
-        stages = [StageSpec(name=str(s["name"]),
-                            fixed_ms=float(s.get("fixed_ms", 0.0)),
-                            per_box_ms=float(s.get("per_box_ms", 0.0)),
-                            placement=str(s.get("placement", "host")),
-                            transfer_cost_ms=float(s.get("transfer_cost_ms", 0.0)))
-                  for s in obj["stages"]]
-        return PipelineConfig(stages=stages,
-                              batch_size=int(obj.get("batch_size", 1)),
-                              prefetch_depth=int(obj.get("prefetch_depth", 0)),
-                              n_batches=int(obj.get("n_batches", 1)),
-                              mean_boxes_per_image=float(obj.get("mean_boxes_per_image", 0.0)))
-    except (KeyError, TypeError, ValueError) as e:
+        return PipelineConfig(**{**obj, "stages": [StageSpec(**s) for s in obj["stages"]]})
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"bad pipeline config: {e}") from None
 
 

@@ -226,8 +226,54 @@ class TestBench:
         assert run_cli("bench", "--pipeline", str(bad), "--records",
                        str(record_file)) == 2
 
-    def test_missing_flags_is_usage_error(self):
-        assert run_cli("bench") == 1
+    def test_missing_flags_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("bench")
+        assert e.value.code == 1
+
+    def test_pipeline_and_compare_together_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("bench", "--pipeline", "p.json", "--compare", "a.json", "b.json",
+                    "--out", str(tmp_path / "report.json"))
+        assert e.value.code == 1
+        assert "not allowed with argument --pipeline" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"prefetch": 2}, "unexpected keyword argument 'prefetch'"),
+        ({"stages": [{"name": "load", "fixed_ms": 6, "fn": "x"}]}, "fn must be callable"),
+        ({"stages": [{"name": "load", "fixed_ms": 6, "cost": 1}]}, "argument 'cost'"),
+        ({"stages": [{"name": 5}]}, "stage name must be a str"),
+        ({"stages": [{"name": "load", "fixed_ms": "1e3"}]}, "got fixed_ms='1e3'"),
+        ({"batch_size": 2.7}, "batch_size must be an integer, got 2.7"),
+        ({"batch_size": 2.0}, "batch_size must be an integer, got 2.0"),
+        ({"batch_size": True}, "batch_size must be an integer, got True"),
+        ({"batch_size": "3"}, "batch_size must be an integer, got '3'"),
+        ({"prefetch_depth": 1.9}, "prefetch_depth must be an integer"),
+        ({"n_batches": True}, "n_batches must be an integer"),
+    ])
+    def test_config_fault_is_data_error(self, record_file, tmp_path, capsys, change, message):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"stages": [{"name": "load", "fixed_ms": 6}],
+                                   "batch_size": 3, "n_batches": 2, **change}))
+        assert run_cli("bench", "--pipeline", str(cfg), "--records", str(record_file)) == 2
+        err = capsys.readouterr().err
+        assert "bad pipeline config" in err and message in err
+        # the same fault in either file of a comparison
+        good = self._config(tmp_path, "good.json", 0)
+        for pair in ((cfg, good), (good, cfg)):
+            assert run_cli("bench", "--compare", *map(str, pair), "--records",
+                           str(record_file)) == 2
+            assert message in capsys.readouterr().err
+
+    def test_integer_counts_accepted(self, record_file, tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"stages": [{"name": "load", "fixed_ms": 1}],
+                                   "batch_size": 3, "prefetch_depth": 1, "n_batches": 2}))
+        out = tmp_path / "report.json"
+        assert run_cli("bench", "--pipeline", str(cfg), "--records", str(record_file),
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["n_batches_processed"] == 2
 
     @pytest.mark.parametrize("fixed_ms", ["NaN", "Infinity", "1e300"])
     def test_unusable_latency_is_data_error(self, record_file, tmp_path, capsys, fixed_ms):
@@ -295,10 +341,62 @@ class TestHyperopt:
                        "--objective", "builtin:parabola") == 2
         assert "no integer in [0.2, 0.8]" in capsys.readouterr().err
 
-    def test_conflicting_modes_usage_error(self, tmp_path):
+    def test_conflicting_modes_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("hyperopt", "--space", "table3.json", "--budget", "3",
+                    "--objective", "builtin:sphere", "--ask-tell")
+        assert e.value.code == 1
+        with pytest.raises(SystemExit) as e:
+            run_cli("hyperopt", "--space", "table3.json", "--budget", "3")
+        assert e.value.code == 1
+
+    @pytest.mark.parametrize("noise_eps", ["nan", "inf", "-1"])
+    def test_unusable_noise_eps_is_data_error(self, capsys, noise_eps):
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",
-                       "--objective", "builtin:sphere", "--ask-tell") == 1
-        assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3") == 1
+                       "--objective", "builtin:sphere", "--noise-eps", noise_eps) == 2
+        assert "noise_eps must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1e160, 1e160)])
+    def test_space_too_wide_is_data_error(self, tmp_path, capsys, lo, hi):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": "x", "lo": lo, "hi": hi}]))
+        assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
+                       "--objective", "builtin:parabola") == 2
+        assert "search space too wide" in capsys.readouterr().err
+
+    def test_overflowing_quadratic_terms_stay_global(self, tmp_path):
+        # the diagonal is finite, but x * x overflows for every x in the space
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": "x", "lo": 1.4e154, "hi": 1.5e154}]))
+        out = tmp_path / "t.jsonl"
+        asks = []
+        with subprocess.Popen(
+                [sys.executable, "-m", "odkit.cli", "hyperopt", "--space", str(space),
+                 "--budget", "20", "--ask-tell", "--out", str(out)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            for line in proc.stdout:
+                x = json.loads(line)[0]
+                asks.append(x)
+                proc.stdin.write(f"tell {-(x / 1e154 - 1.45) ** 2}\n")
+                proc.stdin.flush()
+            proc.stdin.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=30) == 0
+        assert len(asks) == 20 and err.startswith("best: value ")  # LAPACK printed nothing
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert {l["phase"] for l in lines} == {"global"} and lines[-1]["tr_fallbacks"] > 0
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "k", "lo": 1, "hi": 16, "int": True}, "dim 'k': unknown keys ['int']"),
+        ({"name": 5, "lo": 0, "hi": 1}, "name must be a string, got 5"),
+    ])
+    def test_bad_space_entry_is_data_error(self, tmp_path, capsys, entry, message):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([entry]))
+        assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
+                       "--objective", "builtin:parabola") == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_builtin_usage_error(self):
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",

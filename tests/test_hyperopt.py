@@ -50,6 +50,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             hp.SearchSpace((hp.Dim("a", 0, 1), hp.Dim("a", 0, 1)))
 
+    @pytest.mark.parametrize("alpha", [1e-17, 0.0, -0.5, math.nan, math.inf])
+    def test_alpha_must_grow_k(self, alpha):
+        # 1 + 1e-17 == 1: each step of k would be 1, and the first tell divide by log(1)
+        with pytest.raises(ValueError, match="alpha must be finite and > 0 with 1 "):
+            hp.new_optimizer(UNIT_1D, alpha=alpha)
+
+    @pytest.mark.parametrize("noise_eps", [math.nan, math.inf, -0.1])
+    def test_noise_eps_must_be_finite(self, noise_eps):
+        with pytest.raises(ValueError, match="noise_eps must be finite and >= 0"):
+            hp.new_optimizer(UNIT_1D, noise_eps=noise_eps)
+
+    def test_smallest_working_alpha_runs(self):
+        state = hp.new_optimizer(UNIT_1D, alpha=1e-15, seed=0)
+        hp.run_optimization(state, hp.BUILTIN_OBJECTIVES["parabola"], 6)
+        assert state.lipschitz_k > 0
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1e160, 1e160), (0.0, 1.5e154)])
+    def test_space_too_wide_for_float64_rejected(self, lo, hi):
+        space = hp.SearchSpace((hp.Dim("x", lo, hi),))
+        assert space.diagonal == math.inf
+        with pytest.raises(ValueError, match="search space too wide"):
+            hp.new_optimizer(space)
+
     @pytest.mark.parametrize("lo, hi", [(0.2, 0.8), (-0.9, -0.1), (3.5, 3.75)])
     def test_integer_dim_without_an_integer_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="no integer"):
@@ -150,6 +173,23 @@ class TestTellPointCheck:
 
 
 class TestAskBehavior:
+    def test_global_ask_falls_back_to_best_bound_draw(self):
+        # k is within 1e-12 of the slope 1000 between the two ends of [0, 1], so
+        # a draw's bound reaches the best value only in a band of width 1e-12
+        state = hp.new_optimizer(UNIT_1D, exploration_p=0.0, alpha=1e-12, seed=4)
+        for x, v in ((0.0, 0.0), (1.0, 1000.0)):
+            state.pending = np.array([x])
+            hp.tell(state, [x], v)
+        replay = np.random.Generator(np.random.PCG64())
+        replay.bit_generator.state = state.rng.bit_generator.state
+        replay.random()  # the exploration coin
+        draws = replay.uniform(0.0, 1.0, (hp._MAX_DRAWS, 1))
+        bounds = [hp._upper_bound(state, x) for x in draws]
+        assert max(bounds) < 1000.0  # every draw is rejected
+        assert np.array_equal(hp.ask(state), draws[int(np.argmax(bounds))])
+        assert state.phase == "global"
+        assert state.rng.bit_generator.state == replay.bit_generator.state
+
     def test_first_ask_in_bounds(self):
         state = hp.new_optimizer(UNIT_2D, seed=4)
         x = hp.ask(state)
@@ -260,6 +300,21 @@ class TestQuadraticFit:
         _seeded_trials(state, pts, [self._quad(p) for p in pts])
         with pytest.raises(hp.RankDeficiencyError):
             hp.fit_quadratic_tr(state)
+
+    def test_overflowing_terms_rank_deficient(self):
+        # the diagonal is finite, but every x * x overflows float64
+        space = hp.SearchSpace((hp.Dim("x", 1.4e154, 1.5e154),))
+        state = hp.new_optimizer(space, seed=0)
+        _seeded_trials(state, [[1.41e154], [1.43e154], [1.47e154]], [0.0, 1.0, 0.5])
+        with pytest.raises(hp.RankDeficiencyError, match="overflow"):
+            hp.fit_quadratic_tr(state)
+
+    def test_overflowing_terms_survivable_in_the_loop(self):
+        space = hp.SearchSpace((hp.Dim("x", 1.4e154, 1.5e154), hp.Dim("y", 0.0, 1.0)))
+        state = hp.new_optimizer(space, seed=3)
+        hp.run_optimization(state, lambda x: -(x[0] / 1e154 - 1.45) ** 2 - x[1], 30)
+        # every local turn (the even iterations 8 to 30, once 6 trials fit) went global
+        assert len(state.trials) == 30 and state.tr_fallbacks == 12 and state.tr is None
 
     def test_rank_deficiency_is_survivable_in_the_loop(self):
         # constant objective drives duplicate points; the optimizer must
@@ -664,6 +719,38 @@ class TestLocalAskGradient:
         assert np.all(np.abs(x - model.center) <= model.radius)
 
 
+class TestSearchSpace:
+    MIXED = hp.SearchSpace((hp.Dim("n", 1, 16, is_integer=True), hp.Dim("c", -1.0, 1.0)))
+
+    @pytest.mark.parametrize("point", [[4.0], [4.0, 0.5, 0.0], [[4.0, 0.5]], 4.0])
+    def test_contains_rejects_wrong_shape(self, point):
+        assert not self.MIXED.contains(point)
+
+    @pytest.mark.parametrize("point", [[0.0, 0.5], [17.0, 0.5], [4.0, 1.5], [4.0, -1.01],
+                                       [4.0, math.nan]])
+    def test_contains_rejects_out_of_bounds(self, point):
+        assert not self.MIXED.contains(point)
+
+    @pytest.mark.parametrize("n", [4.5, 1.25, 15.999])
+    def test_contains_rejects_fraction_on_integer_dim(self, n):
+        assert not self.MIXED.contains([n, 0.5])
+
+    @pytest.mark.parametrize("point", [[1.0, -1.0], [16, 1.0], [4.0, 0.3]])
+    def test_contains_accepts_points_inside(self, point):
+        assert self.MIXED.contains(point)
+
+    def test_bounds_are_made_once_and_read_only(self):
+        space = hp.SearchSpace((hp.Dim("a", -2.0, 3.0), hp.Dim("b", 0.0, 4.0)))
+        assert space.lows is space.lows and space.highs is space.highs
+        assert space.lows.tolist() == [-2.0, 0.0] and space.highs.tolist() == [3.0, 4.0]
+        assert space.diagonal == float(np.linalg.norm(np.array([5.0, 4.0])))
+        with pytest.raises(ValueError, match="read-only"):
+            space.lows[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            space.highs += 1.0
+        assert space == hp.SearchSpace(space.dims)  # the bounds take no part in equality
+
+
 class TestSpaceIO:
     def test_round_trip(self, tmp_path):
         space = hp.SearchSpace((hp.Dim("n", 1, 16, is_integer=True),
@@ -697,6 +784,28 @@ class TestSpaceIO:
         entry[field] = value
         with pytest.raises(ValueError, match=field):
             hp.space_from_obj([entry])
+
+    @pytest.mark.parametrize("extra, unknown", [
+        ({"int": True}, "['int']"), ({"integer": True, "step": 1}, "['step']"),
+        ({"is_integer": True, "type": "int"}, "['is_integer', 'type']")])
+    def test_unknown_key_rejected(self, extra, unknown):
+        with pytest.raises(ValueError) as e:
+            hp.space_from_obj([{"name": "k", "lo": 1, "hi": 16, **extra}])
+        assert f"dim 'k': unknown keys {unknown}" in str(e.value)
+
+    @pytest.mark.parametrize("name", [5, None, ["k"]])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match="name must be a string"):
+            hp.space_from_obj([{"name": name, "lo": 0, "hi": 1}])
+
+    def test_checkpoint_with_unusable_alpha_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        hp.save_state(hp.new_optimizer(UNIT_1D, seed=0), path)
+        obj = json.loads(path.read_text())
+        obj["alpha"] = 1e-17
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            hp.load_state(path)
 
     def test_malformed_space_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1470,6 +1470,20 @@ class TestDominanceAndAgreement:
             assert all(r == results[0] for r in results[1:])
 
 
+class TestMatchAssignment:
+    def test_as_maps_from_box_index_to_anchor(self):
+        a = MatchAssignment([np.array([7, 2, 9]), np.array([], np.int64), [4]])
+        maps = a.as_maps()
+        assert maps == [{0: 7, 1: 2, 2: 9}, {}, {0: 4}]
+        assert all(type(k) is int and type(v) is int for m in maps for k, v in m.items())
+
+    def test_as_maps_of_a_matcher_result(self):
+        anchors = small_grid()
+        boxes = [np.array([anchors[7], anchors[3]]), np.array([anchors[0]])]
+        a = match_serial(anchors, boxes)
+        assert a.as_maps() == [{0: 7, 1: 3}, {0: 0}]
+
+
 class TestDeltas:
     def test_identity_pair_is_zero(self):
         anchors = CE_ANCHORS

@@ -59,6 +59,42 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean_boxes_per_image must be finite"):
             PipelineConfig(stages=[StageSpec("s")], mean_boxes_per_image=value)
 
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "3", None])
+    @pytest.mark.parametrize("field", ["batch_size", "prefetch_depth", "n_batches"])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PipelineConfig(stages=[StageSpec("s")], **{field: value})
+
+    @pytest.mark.parametrize("field", ["batch_size", "prefetch_depth", "n_batches"])
+    def test_config_accepts_numpy_integer_counts(self, field):
+        cfg = PipelineConfig(stages=[StageSpec("s")], **{field: np.int64(3)})
+        assert getattr(cfg, field) == 3
+
+    @pytest.mark.parametrize("value", ["1e3", True, None, [1.0]])
+    @pytest.mark.parametrize("field", ["fixed_ms", "per_box_ms", "transfer_cost_ms"])
+    def test_stage_rejects_non_real_latency(self, field, value):
+        with pytest.raises(ValueError, match=f"latencies must be finite and >= 0, got {field}="):
+            StageSpec("s", **{field: value})
+
+    @pytest.mark.parametrize("value", [np.float64(2.5), np.int64(3), np.float32(0.5), 4])
+    def test_stage_accepts_numpy_and_int_latencies(self, value):
+        assert StageSpec("s", fixed_ms=value, per_box_ms=value).fixed_ms == value
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_config_rejects_non_real_mean_boxes(self, value):
+        with pytest.raises(ValueError, match="mean_boxes_per_image must be finite"):
+            PipelineConfig(stages=[StageSpec("s")], mean_boxes_per_image=value)
+
+    @pytest.mark.parametrize("name", [5, None, b"s"])
+    def test_stage_rejects_non_str_name(self, name):
+        with pytest.raises(ValueError, match="stage name must be a str"):
+            StageSpec(name)
+
+    @pytest.mark.parametrize("fn", ["x", 3, {}])
+    def test_stage_rejects_non_callable_fn(self, fn):
+        with pytest.raises(ValueError, match="fn must be callable or None"):
+            StageSpec("s", fn=fn)
+
     @pytest.mark.parametrize("prefetch", [0, 2])
     @pytest.mark.parametrize("stage", [StageSpec("slow", fixed_ms=1e300),
                                        StageSpec("slow", per_box_ms=1e306)])
@@ -334,6 +370,31 @@ class TestJsonInterface:
             config_from_obj({"stages": "nope"})
         with pytest.raises(ValueError):
             config_from_obj({})
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert config_from_obj({"stages": [{"name": "s"}]}) == PipelineConfig([StageSpec("s")])
+
+    def test_keys_are_the_dataclass_fields(self):
+        stage = {"name": "net", "fixed_ms": 5, "per_box_ms": 0.5, "placement": "accelerator",
+                 "transfer_cost_ms": 2}
+        obj = {"stages": [stage], "batch_size": 4, "prefetch_depth": 2, "n_batches": 7,
+               "mean_boxes_per_image": 1.5}
+        assert config_from_obj(obj) == PipelineConfig(
+            [StageSpec(**stage)], **{k: v for k, v in obj.items() if k != "stages"})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"stages": [{"name": "s"}], "prefetch": 2}, "unexpected keyword argument 'prefetch'"),
+        ({"stages": [{"name": "s", "fixed": 2}]}, "unexpected keyword argument 'fixed'"),
+        ({"stages": [{"name": "s", "fn": "print"}]}, "fn must be callable"),
+        ({"stages": [{"fixed_ms": 2}]}, "missing 1 required positional argument: 'name'"),
+        ({"stages": [{"name": "s"}], "batch_size": 2.7}, "batch_size must be an integer"),
+        ({"stages": [{"name": "s", "fixed_ms": 10 ** 400}]}, "int too large"),
+        (["stages"], "not a mapping"),
+        ({"stages": ["s"]}, "must be a mapping"),
+    ])
+    def test_every_fault_is_a_value_error(self, obj, message):
+        with pytest.raises(ValueError, match=f"bad pipeline config: .*{message}"):
+            config_from_obj(obj)
 
     def test_report_serialization(self):
         r = run_pipeline(PipelineConfig(stages=[StageSpec("s", fixed_ms=2)],

@@ -104,6 +104,19 @@ class TestLabelRecord:
         with pytest.raises(ValueError):
             LabelRecord(0, 2**16, 10, np.empty((0, 4)), np.empty(0, np.int64))
 
+    def test_rejects_more_boxes_than_u16_counts(self):
+        n = 2**16
+        boxes = np.tile([[10.0, 10, 4, 4]], (n, 1))
+        with pytest.raises(ValueError, match="box count exceeds u16"):
+            LabelRecord(0, 64, 64, boxes, np.zeros(n, np.int64))
+        assert len(LabelRecord(0, 64, 64, boxes[1:], np.zeros(n - 1, np.int64)).boxes) == n - 1
+
+    @pytest.mark.parametrize("bad_class", [-1, 2**16, 2**40])
+    def test_rejects_class_ids_outside_u16(self, bad_class):
+        with pytest.raises(ValueError, match="class ids outside u16 range"):
+            _rec(0, [(10, 10, 4, 4), (20, 20, 4, 4)], [3, bad_class])
+        _rec(0, [(10, 10, 4, 4), (20, 20, 4, 4)], [0, 2**16 - 1])
+
     @pytest.mark.parametrize("bad", BAD_BOXES)
     def test_bad_box_values_raise_as_in_geometry(self, bad):
         batch = SparseLabelBatch(rois_idx=np.zeros((1, 2), np.int64), rois_values=[bad],
