@@ -239,7 +239,9 @@ def _cmd_hyperopt(args) -> int:
         raise _UsageError(f"--budget must be >= 1, got {args.budget}")
 
     state = hp.new_optimizer(space, noise_eps=args.noise_eps, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as log:
+    # without --out the log goes to stdout, or to stderr when stdout carries asks
+    default_log = sys.stderr if args.ask_tell else sys.stdout
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(default_log) as log:
         def on_trial(trial, best):
             log.write(_jsonl_line({
                 "seq": trial.seq, "point": [float(v) for v in trial.point],
@@ -316,7 +318,8 @@ def build_parser() -> _Parser:
                       help="print each candidate to stdout; read 'tell VALUE' lines from stdin")
     h.add_argument("--seed", type=int, default=0)
     h.add_argument("--noise-eps", type=float, default=0.0)
-    h.add_argument("--out", metavar="TRIALS.jsonl")
+    h.add_argument("--out", metavar="TRIALS.jsonl",
+                   help="trial log file (default: stdout, or stderr with --ask-tell)")
     h.set_defaults(func=_cmd_hyperopt)
 
     t = sub.add_parser("plan-transfer", help="enumerate layer-transfer schedules")

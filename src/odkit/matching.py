@@ -282,10 +282,14 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     return MatchAssignment([_take_cheapest(c.copy(), [int(t) for t in order])])
 
 
-# keys built and sorted at a time in build_rankings (512 KB of float64),
-# a whole number of rows: small enough that a block's buffers stay in
-# cache, and the least work worth a thread
-_RANK_BLOCK_KEYS = 2**16
+# keys built and sorted at a time in build_rankings, a whole number of rows
+# (86 at 1,521 anchors). Set by measurement on prep-dense batches (336 x
+# 1,521 keys, 2 CPUs): 2^17 gave the least time per batch at one thread and
+# at two, and the least CPU time at one. Against 2^16, its blocks make half
+# the numpy calls, each a hand-off of the interpreter lock between pool
+# threads, over inner loops twice as long; 2^18 was slower again, with a
+# traced peak 3 to 5 MiB higher.
+_RANK_BLOCK_KEYS = 2**17
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
@@ -302,8 +306,8 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     checked once, before the blocks, and ``_grid_factors`` of the anchors
     is found once, so that every block of a grid gets its IOU and distance
     terms per axis, the floats of anchor by anchor (see ``_iou_matrix``).
-    A block's buffers stay in cache, and memory beyond the result stays
-    O(block x anchors). The blocks go to a
+    Memory beyond the result stays O(block x anchors); the block size is
+    the measured fastest (see ``_RANK_BLOCK_KEYS``). The blocks go to a
     pool of ``min(thread_cap(), blocks)`` threads; a batch of one block,
     or a cap of one, runs on the caller's thread. An error in a block
     reaches the caller once the pool has shut down: the lowest failing

@@ -35,8 +35,15 @@ _PLACEMENTS = ("host", "accelerator")
 _SOURCE_PLACEMENT = "host"
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _finite_non_negative(v) -> bool:
+    """Whether ``v`` is a real number (not a bool), finite and >= 0. An
+    integer too large for a float is not finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v) and v >= 0
+    except OverflowError:
+        return False
 
 
 class DataUnderrunError(RuntimeError):
@@ -70,7 +77,7 @@ class StageSpec:
             raise ValueError(f"stage name must be a str, got {self.name!r}")
         for field in ("fixed_ms", "per_box_ms", "transfer_cost_ms"):
             v = getattr(self, field)
-            if not (_is_real(v) and math.isfinite(v) and v >= 0):
+            if not _finite_non_negative(v):
                 raise ValueError(f"stage {self.name!r}: latencies must be finite and >= 0, "
                                  f"got {field}={v!r}")
         if self.fn is not None and not callable(self.fn):
@@ -107,7 +114,7 @@ class PipelineConfig:
         if self.n_batches < 1:
             raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
         v = self.mean_boxes_per_image
-        if not (_is_real(v) and math.isfinite(v) and v >= 0):
+        if not _finite_non_negative(v):
             raise ValueError(f"mean_boxes_per_image must be finite and >= 0, got {v!r}")
 
 
@@ -325,7 +332,7 @@ def config_from_obj(obj: dict) -> PipelineConfig:
     ``StageSpec`` field objects. Any fault is a ``ValueError``."""
     try:
         return PipelineConfig(**{**obj, "stages": [StageSpec(**s) for s in obj["stages"]]})
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"bad pipeline config: {e}") from None
 
 

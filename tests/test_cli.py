@@ -444,6 +444,25 @@ class TestHyperopt:
             assert proc.wait(timeout=30) == 0
         assert len(out.read_text().splitlines()) == 6
 
+    def test_ask_tell_log_goes_to_stderr_without_out(self):
+        # a driver that answers every stdout line as an ask
+        with subprocess.Popen(
+                [sys.executable, "-m", "odkit.cli", "hyperopt", "--space",
+                 "table3.json", "--budget", "3", "--ask-tell", "--seed", "2"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            asks = []
+            for line in proc.stdout:
+                asks.append(json.loads(line))
+                proc.stdin.write(f"tell {-sum((v - 1) ** 2 for v in asks[-1])}\n")
+                proc.stdin.flush()
+            proc.stdin.close()
+            err = proc.stderr.read().splitlines()
+            assert proc.wait(timeout=30) == 0
+        assert len(asks) == 3 and all(len(point) == 4 for point in asks)
+        assert [json.loads(line)["seq"] for line in err[:-1]] == [0, 1, 2]
+        assert err[-1].startswith("best: value ")
+
     def test_ask_tell_bad_reply_is_data_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "odkit.cli", "hyperopt", "--space",

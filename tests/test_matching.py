@@ -639,6 +639,26 @@ class TestRankingsEqualStableSort:
         assert np.any((key[:, 1:] == key[:, :-1]) & (key[:, 1:] < 0))  # IOU ties
         self._assert_equals_seed(anchors, sparse)
 
+    @staticmethod
+    def _yolo_rows(rng, n_rows):
+        """A YOLO batch of ``n_rows`` boxes, at most 20 per image."""
+        counts = [20] * (n_rows // 20) + ([n_rows % 20] if n_rows % 20 else [])
+        return yolo_grid(), to_sparse(yolo_batch(rng, counts, size_lo=2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prep_dense_batch_spans_blocks(self, seed):
+        anchors, sparse = self._yolo_rows(np.random.default_rng(seed), 336)
+        block = matching._RANK_BLOCK_KEYS // len(anchors)
+        assert len(sparse.rois_values) > 2 * block  # at least 3 blocks
+        self._assert_equals_seed(anchors, sparse)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_past_a_block_multiple(self, seed):
+        block = matching._RANK_BLOCK_KEYS // len(yolo_grid())
+        anchors, sparse = self._yolo_rows(np.random.default_rng(seed), 2 * block + 1)
+        assert len(sparse.rois_values) == 2 * block + 1
+        self._assert_equals_seed(anchors, sparse)
+
     def test_memory_bounded_on_a_prep_dense_batch(self, monkeypatch):
         # 336 boxes x 1,521 anchors: the result alone is 3.9 MB, and the
         # whole-batch key with its temporaries peaked at about 24 MB
