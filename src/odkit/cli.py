@@ -231,10 +231,15 @@ def _cmd_hyperopt(args) -> int:
     space = _resolve_space(args.space)
     objective = _stdio_objective
     if args.objective:
+        name = args.objective.removeprefix("builtin:")
         try:
-            objective = hp.get_objective(args.objective.removeprefix("builtin:"))
+            objective = hp.get_objective(name)
         except ValueError as e:
             raise _UsageError(str(e)) from None
+        need = hp._BUILTIN_MIN_DIMS.get(name, 1)
+        if len(space.dims) < need:
+            raise _UsageError(f"builtin:{name} needs a space of at least {need} dimensions, "
+                              f"got {len(space.dims)}")
     if args.budget < 1:
         raise _UsageError(f"--budget must be >= 1, got {args.budget}")
 

@@ -733,6 +733,9 @@ BUILTIN_OBJECTIVES = {
     "sphere": _sphere,      # max 0 at the origin
     "rastrigin": _rastrigin,
 }
+# a space needs at least this many dimensions for a built-in that reads
+# coordinates by index; the others read every coordinate there is
+_BUILTIN_MIN_DIMS = {"quad2": 2}
 
 
 def get_objective(name: str):

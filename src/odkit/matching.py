@@ -6,19 +6,20 @@ image to a distinct anchor, preferring high overlap.
 * ``match_serial``       traversal-order approximation; one box at a time.
 * ``match_parallel``     data-parallel reformulation built on per-box
                          distance rankings; in ``strict`` dedup mode it
-                         reproduces ``match_serial`` exactly.
+                         selects with ``match_serial``'s kernel, from
+                         the same rows, so it reproduces it exactly.
 * ``match_greedy_bipartite``  greedy selection in global (cost, box, anchor)
                          edge order.
 * ``match_exact``        minimum-total-weight assignment (oracle).
 
 All matchers are deterministic: every sort orders as a stable sort does,
 and ties always break toward the ascending anchor index. ``build_rankings``
-hands its row blocks to a thread pool of at most ``ODF_THREADS`` threads
-(default: hardware parallelism); no other matcher starts a thread, and
-results are identical for every thread count. Each public function checks
-its anchors and boxes once, and finds once whether the anchors form a
-grid; the inner IOU and distance work runs on geometry's unchecked
-kernels, per axis on a grid.
+and ``match_serial`` hand their row blocks to a thread pool of at most
+``ODF_THREADS`` threads (default: hardware parallelism); no other matcher
+starts a thread, and results are identical for every thread count. Each
+public function checks its anchors and boxes once, and finds once whether
+the anchors form a grid; the inner IOU and distance work runs on
+geometry's unchecked kernels, per axis on a grid.
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def _rank_key(boxes: np.ndarray, anchor_arr: np.ndarray,
     equal floats give equal keys. IOUs are compared directly, not as
     1-IOU, which rounds distinct small IOUs to one float and ties them. A
     distance that overflows is +inf, whose bits lie above every finite
-    distance's and below the int64 maximum, the mark of a taken anchor;
-    the overflow raises no warning, in this thread or a worker.
+    distance's; the overflow raises no warning, in this thread or a worker.
     ``_iou_matrix`` raises before any IOU is NaN, and a -0.0 IOU is folded
     into 0.0 first, whose bits are 0. The key is built in the distance
     matrix's buffer, in the kernels' memory order, and made C-ordered last.
@@ -229,60 +229,7 @@ def _stable_argsort_rows(key: np.ndarray, out: np.ndarray) -> int:
     return len(redo)
 
 
-def _take_cheapest(key: np.ndarray, order) -> np.ndarray:
-    """Each row in ``order`` takes its cheapest column (the first on ties),
-    which is then struck out with the largest value of ``key``'s dtype:
-    +inf for float costs, the int64 maximum for ``_rank_key``'s key.
-    Overwrites ``key``."""
-    taken = key.dtype.type(np.inf if key.dtype.kind == "f" else np.iinfo(key.dtype).max)
-    chosen = np.empty(len(key), dtype=np.int64)
-    for g in order:
-        a = int(np.argmin(key[g]))
-        chosen[g] = a
-        key[:, a] = taken
-    return chosen
-
-
-def match_serial(anchors, batch) -> MatchAssignment:
-    """Traversal-order matcher.
-
-    Per image, boxes are visited in input order; each takes the unused
-    anchor with the largest IOU when some unused anchor overlaps it,
-    otherwise the unused anchor with the smallest 4-vector Euclidean
-    distance. Ties break toward the lower anchor index. The order is the
-    one ``build_rankings`` sorts by (see ``_rank_key``).
-    """
-    anchor_arr = as_box_array(anchors)
-    per_image = _as_box_arrays(batch)
-    _check_capacity([len(boxes) for boxes in per_image], len(anchor_arr))
-    factors = _grid_factors(anchor_arr)
-    return MatchAssignment([
-        _take_cheapest(_rank_key(boxes, anchor_arr, factors)[0], range(len(boxes)))
-        for boxes in per_image])
-
-
-def match_serial_cost(cost, traversal=None) -> MatchAssignment:
-    """Traversal-order matcher over a raw cost matrix (one image).
-
-    Rows are visited in ``traversal`` order (default: input order), a
-    permutation of the row indices; each row takes its cheapest unused
-    column. With no geometry there is no Euclidean fallback; the rule is
-    minimum unused cost, ties toward the lower column index.
-    """
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise InvalidSpecError(f"cost must be a 2-D matrix, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidSpecError("cost matrix has non-finite entries")
-    nb, na = c.shape
-    _check_capacity([nb], na)
-    order = list(range(nb)) if traversal is None else list(traversal)
-    if sorted(order) != list(range(nb)):  # compared as given: 0.9 is not 0
-        raise InvalidSpecError(f"traversal must be a permutation of rows, got {order}")
-    return MatchAssignment([_take_cheapest(c.copy(), [int(t) for t in order])])
-
-
-# keys built and sorted at a time in build_rankings, a whole number of rows
+# keys built and sorted at a time in _rank_rows, a whole number of rows
 # (86 at 1,521 anchors). Set by measurement on prep-dense batches (336 x
 # 1,521 keys, 2 CPUs): 2^17 gave the least time per batch at one thread and
 # at two, and the least CPU time at one. Against 2^16, its blocks make half
@@ -293,18 +240,27 @@ _RANK_BLOCK_KEYS = 2**17
 
 
 def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
-    """Build the per-box rankings, row block by row block, on a thread
-    pool.
+    """The per-box rankings (see ``DistanceRanking``), the orders in which
+    ``match_serial`` takes anchors, built by ``_rank_rows`` once anchors
+    and boxes are checked. Rows are mutually independent, so the result is
+    identical regardless of evaluation order, block size or thread count.
+    """
+    anchor_arr = as_box_array(anchors)
+    if len(anchor_arr) == 0:
+        raise InvalidSpecError("anchor list must be non-empty")
+    rois.validate()
+    return DistanceRanking(*_rank_rows(rois.rois_values, anchor_arr))
 
-    Each row is a permutation of all anchors: the positive-IOU anchors by
-    descending IOU, then the IOU-0 anchors by ascending Euclidean
-    distance, ties toward the lower index. Rows are built a block of
-    ``_RANK_BLOCK_KEYS`` keys at a time: ``_rank_key`` (the order
-    ``match_serial`` takes anchors in), sorted by ``_stable_argsort_rows``
-    (one integer sort of a composite key per row, equal to a stable sort)
-    straight into the block's slice of ``dist_ids``. Anchors and boxes are
-    checked once, before the blocks, and ``_grid_factors`` of the anchors
-    is found once, so that every block of a grid gets its IOU and distance
+
+def _rank_rows(boxes: np.ndarray, anchor_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist_ids, crossover)`` of ``build_rankings`` for boxes and anchors
+    that have passed ``as_box_array``.
+
+    Rows are built a block of ``_RANK_BLOCK_KEYS`` keys at a time:
+    ``_rank_key``, sorted by ``_stable_argsort_rows`` (one integer sort of
+    a composite key per row, equal to a stable sort) straight into the
+    block's slice of ``dist_ids``. ``_grid_factors`` of the anchors is
+    found once, so that every block of a grid gets its IOU and distance
     terms per axis, the floats of anchor by anchor (see ``_iou_matrix``).
     Memory beyond the result stays O(block x anchors); the block size is
     the measured fastest (see ``_RANK_BLOCK_KEYS``). The blocks go to a
@@ -312,22 +268,15 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     or a cap of one, runs on the caller's thread. An error in a block
     reaches the caller once the pool has shut down: the lowest failing
     block's, at every thread count, and blocks not yet started when it
-    happened may be skipped. Rows are mutually independent, so the result
-    is identical regardless of evaluation order, block size or thread
-    count.
+    happened may be skipped.
     """
-    anchor_arr = as_box_array(anchors)
-    n_anchors = len(anchor_arr)
-    if n_anchors == 0:
-        raise InvalidSpecError("anchor list must be non-empty")
-    rois.validate()
     factors = _grid_factors(anchor_arr)
-    boxes = rois.rois_values
-    n = len(boxes)
+    n, n_anchors = len(boxes), len(anchor_arr)
     dist_ids = np.empty((n, n_anchors), dtype=np.int64)
     crossover = np.empty(n, dtype=np.int64)
 
-    block = max(1, _RANK_BLOCK_KEYS // n_anchors)
+    # match_serial ranks its (empty) images on no anchors too
+    block = max(1, _RANK_BLOCK_KEYS // max(1, n_anchors))
     starts = range(0, n, block)
 
     def rank(b: int) -> None:
@@ -342,7 +291,7 @@ def build_rankings(anchors, rois: SparseLabelBatch) -> DistanceRanking:
     else:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(rank, starts))  # raises the lowest failing block's error
-    return DistanceRanking(dist_ids, crossover)
+    return dist_ids, crossover
 
 
 def _select_strict(rows, n_anchors: int) -> np.ndarray:
@@ -357,6 +306,54 @@ def _select_strict(rows, n_anchors: int) -> np.ndarray:
         chosen[g] = a
         used[a] = True
     return chosen
+
+
+def match_serial(anchors, batch) -> MatchAssignment:
+    """Traversal-order matcher.
+
+    Per image, boxes are visited in input order; each takes the unused
+    anchor with the largest IOU when some unused anchor overlaps it,
+    otherwise the unused anchor with the smallest 4-vector Euclidean
+    distance. Ties break toward the lower anchor index. Once anchors,
+    boxes and capacity are checked, all images' boxes are ranked together
+    by ``_rank_rows``, as ``build_rankings`` ranks them, and each image
+    selects from its rows with strict ``match_parallel``'s kernel.
+    """
+    anchor_arr = as_box_array(anchors)
+    per_image = _as_box_arrays(batch)
+    counts = [len(boxes) for boxes in per_image]
+    _check_capacity(counts, len(anchor_arr))
+    if not per_image:
+        return MatchAssignment()
+    dist_ids, _ = _rank_rows(np.concatenate(per_image), anchor_arr)
+    off = np.cumsum([0, *counts])
+    return MatchAssignment([_select_strict(dist_ids[b:e], len(anchor_arr))
+                            for b, e in zip(off[:-1], off[1:])])
+
+
+def match_serial_cost(cost, traversal=None) -> MatchAssignment:
+    """Traversal-order matcher over a raw cost matrix (one image).
+
+    Rows are visited in ``traversal`` order (default: input order), a
+    permutation of the row indices; each row takes its cheapest unused
+    column. With no geometry there is no Euclidean fallback; the rule is
+    minimum unused cost, ties toward the lower column index: the first
+    unused column in the row's stable argsort.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2:
+        raise InvalidSpecError(f"cost must be a 2-D matrix, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InvalidSpecError("cost matrix has non-finite entries")
+    nb, na = c.shape
+    _check_capacity([nb], na)
+    order = list(range(nb)) if traversal is None else list(traversal)
+    if sorted(order) != list(range(nb)):  # compared as given: 0.9 is not 0
+        raise InvalidSpecError(f"traversal must be a permutation of rows, got {order}")
+    order = [int(t) for t in order]
+    chosen = np.empty(nb, dtype=np.int64)
+    chosen[order] = _select_strict(np.argsort(c, axis=1, kind="stable")[order], na)
+    return MatchAssignment([chosen])
 
 
 def _select_paper_literal(rows) -> np.ndarray:

@@ -398,6 +398,16 @@ class TestHyperopt:
                        "--objective", "builtin:parabola") == 2
         assert message in capsys.readouterr().err
 
+    def test_builtin_wider_than_the_space_is_usage_error(self, tmp_path, capsys):
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": "x", "lo": 0, "hi": 1}]))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("hyperopt", "--space", str(space), "--budget", "5",
+                       "--objective", "builtin:quad2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "odkit: error: builtin:quad2 needs a space of at least 2 dimensions, got 1\n"
+        assert not out.exists()  # reported before the first ask
+
     def test_unknown_builtin_usage_error(self):
         assert run_cli("hyperopt", "--space", "table3.json", "--budget", "3",
                        "--objective", "builtin:nope") == 1

@@ -387,10 +387,28 @@ class TestMatchSerial:
         for boxes, ids in zip(batch, got.anchor_ids):
             assert list(ids) == serial_match_reference(anchors, boxes)
 
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_ranked_on_the_pool(self, monkeypatch, threads):
+        # one-row blocks spread every image's boxes over the ranking pool
+        monkeypatch.setenv("ODF_THREADS", threads)
+        one_row_blocks(monkeypatch)
+        anchors, batch = crowded_instance(7)
+        got = match_serial(anchors, batch)
+        assert got == _seed_match_serial(anchors, batch)
+        for boxes, ids in zip(batch, got.anchor_ids):
+            assert list(ids) == serial_match_reference(anchors, boxes)
+
+    def test_no_anchors_and_only_empty_images(self):
+        assert [ids.tolist() for ids in match_serial([], [[], []]).anchor_ids] == [[], []]
+
+    def test_no_images(self):
+        assert match_serial(small_grid(), []).n_images == 0
+
 
 class TestOneRankKey:
-    """match_serial takes anchors in the order build_rankings sorts them by,
-    and match_serial_cost shares its selection loop."""
+    """match_serial selects with strict match_parallel's kernel from the rows
+    build_rankings builds, and match_serial_cost with the same kernel from
+    its cost rows' stable argsorts."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_distances_stay_injective(self):
@@ -435,7 +453,7 @@ class TestOneRankKey:
     @given(st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_serial_cost_equals_seed(self, seed):
-        # tie-heavy entries from {0, 0.5, 1} on even seeds, random ones
+        # tie-heavy entries from {-0.0, 0, 0.5, 1} on even seeds, random ones
         # with negatives on odd seeds; 0 to na rows in a random order
         rng = np.random.default_rng(seed)
         na = int(rng.integers(1, 10))
@@ -443,7 +461,7 @@ class TestOneRankKey:
         if seed % 2:
             c = rng.uniform(-2, 1, (nb, na))
         else:
-            c = rng.choice([0.0, 0.5, 1.0], (nb, na))
+            c = rng.choice([-0.0, 0.0, 0.5, 1.0], (nb, na))
         order = rng.permutation(nb)
         traversal = [None, order, order.tolist()][seed % 3]
         want = _seed_match_serial_cost(c, range(nb) if traversal is None else order)
@@ -833,6 +851,11 @@ class TestMatchParallel:
         assert a1 == a5
 
 
+def rank_batch(anchors, batch):
+    """build_rankings of a batch given as match_serial takes it."""
+    return build_rankings(anchors, to_sparse(batch))
+
+
 class TestWorkerErrors:
     """An exception in any row block reaches the caller; the fault sits in
     the last block, which runs on a pool thread whenever threads > 1."""
@@ -884,8 +907,10 @@ class TestWorkerErrors:
             assert len(ran) == len(set(ran))
             assert 0 in ran and (failing == "all" or sorted(ran) == list(range(7)))
 
-    @pytest.mark.parametrize("failing", [False, True])
-    def test_pool_threads_end_with_the_call(self, monkeypatch, failing):
+    @pytest.mark.parametrize("call, failing", [
+        (rank_batch, False), (rank_batch, True), (match_serial, False), (match_serial, True)],
+        ids=["False", "True", "match_serial-False", "match_serial-True"])
+    def test_pool_threads_end_with_the_call(self, monkeypatch, call, failing):
         monkeypatch.setenv("ODF_THREADS", "3")
         one_row_blocks(monkeypatch)
         real, during = matching._rank_key, []
@@ -896,13 +921,13 @@ class TestWorkerErrors:
                 raise RuntimeError("bad block")
             return real(boxes, anchor_arr, factors)
         monkeypatch.setattr(matching, "_rank_key", counting)
-        sparse = to_sparse([np.array([[20.0 + 8 * i, 20, 8, 8]]) for i in range(7)])
+        batch = [np.array([[20.0 + 8 * i, 20, 8, 8]]) for i in range(7)]
         before = threading.active_count()
         if failing:
             with pytest.raises(RuntimeError):
-                build_rankings(small_grid(), sparse)
+                call(small_grid(), batch)
         else:
-            build_rankings(small_grid(), sparse)
+            call(small_grid(), batch)
         assert max(during) > before  # the blocks ran on pool threads
         assert threading.active_count() == before
 
@@ -1015,8 +1040,9 @@ BAD_ROWS = [(20.0, 20, -4, 8), (20.0, 20, 8, 0), (np.nan, 20, 8, 8), (20.0, np.i
 
 
 class TestBadBoxesAtTheBoundary:
-    """SparseLabelBatch.validate rejects bad box values, so the matchers
-    raise before any row block is ranked."""
+    """The matchers reject bad box values (SparseLabelBatch.validate, or
+    match_serial's own check) and over-full images before any row block
+    is ranked."""
 
     @staticmethod
     def _no_workers(monkeypatch):
@@ -1030,6 +1056,19 @@ class TestBadBoxesAtTheBoundary:
         batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([bad])]
         with pytest.raises(InvalidBoxError):
             build_rankings(small_grid(), to_sparse(batch))
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    def test_match_serial(self, monkeypatch, bad):
+        self._no_workers(monkeypatch)
+        batch = [np.array([[20.0, 20, 8, 8]])] * 5 + [np.array([bad])]
+        with pytest.raises(InvalidBoxError):
+            match_serial(small_grid(), batch)
+
+    def test_match_serial_capacity(self, monkeypatch):
+        self._no_workers(monkeypatch)
+        with pytest.raises(CapacityError) as e:
+            match_serial(CE_ANCHORS, _over_full_batch())
+        assert e.value.image_index == 2
 
     @pytest.mark.parametrize("bad", BAD_ROWS)
     def test_match_parallel(self, bad):
