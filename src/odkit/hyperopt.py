@@ -34,6 +34,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -150,17 +151,38 @@ class TrustRegionModel:
         return float(_quad_features(np.asarray(x, dtype=np.float64)) @ self.quad_coeffs)
 
 
+class _LastFit(NamedTuple):
+    """A quadratic fit over a full fit set: centred on trial ``best`` when
+    ``n`` trials existed; ``reach`` is the distance of the farthest row it
+    kept. ``outcome`` is ``(coeffs,
+    fit_points, fit_values)``, or the message of the
+    :class:`RankDeficiencyError` the fit raised; the exception itself is not
+    kept, as its traceback would pin the fit's frames and arrays."""
+
+    best: Trial
+    n: int
+    reach: float
+    outcome: tuple[np.ndarray, np.ndarray, np.ndarray] | str
+
+
 @dataclass
 class _TrialArrays:
     """Rows ``[:n]`` mirror ``trials[:n]``; ``last`` is ``trials[n-1]``, so a
     replaced list is noticed. ``max_slope`` is the steepest slope between
-    any two of those points at distance > 0."""
+    any two of those points at distance > 0.
+
+    ``fit`` is the last fit over a full fit set, which
+    ``fit_quadratic_tr`` returns or raises again while the best trial and
+    the rows it kept stay the same. It lives and dies with the rows: a
+    replaced or shortened trial list, or a state read by ``load_state``,
+    starts without it, and ``save_state`` does not write it."""
 
     points: np.ndarray
     values: np.ndarray
     n: int = 0
     last: Trial | None = None
     max_slope: float = 0.0
+    fit: _LastFit | None = None
 
     def append(self, trial: Trial) -> None:
         n = self.n
@@ -320,27 +342,53 @@ def fit_quadratic_tr(state: OptimizerState) -> TrustRegionModel:
     below the term count, or with a term that overflows float64, raises
     :class:`RankDeficiencyError`; callers treat that as "stay global this
     iteration".
+
+    The fit is recomputed only when its inputs change. Once 2 * n_terms
+    trials exist, the last fit is returned (or its error raised) again,
+    with the current ``tr_radius``, if the best trial is the same and every
+    trial added since lies at least as far from it as the farthest row
+    kept: the stable sort would keep the same rows in the same order, so
+    ``lstsq`` would see the same bytes. Models, candidates and trial logs
+    are those of a fit on every call.
     """
     n_terms = state.space.n_quad_terms
     if len(state.trials) < n_terms:
         raise ValueError(
             f"quadratic fit needs >= {n_terms} trials, have {len(state.trials)}")
-    center = best(state).point
+    best_trial = best(state)
+    center = best_trial.point
     pts, vals = _trial_arrays(state)
-    order = np.argsort(np.linalg.norm(pts - center, axis=1), kind="stable")
-    keep = order[: min(2 * n_terms, len(order))]
-    fit_points, fit_values = pts[keep], vals[keep]
+    dist = np.linalg.norm(pts - center, axis=1)
+    cache, m = state._arrays, 2 * n_terms
+    last = cache.fit
+    if last is not None and last.best is best_trial and (dist[last.n:] >= last.reach).all():
+        cache.fit = last._replace(n=len(pts))
+        outcome = last.outcome
+    else:
+        keep = np.argsort(dist, kind="stable")[:m]
+        outcome = _fit_rows(pts[keep], vals[keep], n_terms)
+        if len(keep) == m:
+            cache.fit = _LastFit(best_trial, len(pts), float(dist[keep[-1]]), outcome)
+    if isinstance(outcome, str):
+        raise RankDeficiencyError(outcome)
+    coeffs, fit_points, fit_values = outcome
+    # copies, so that a caller editing the model cannot edit the kept fit
+    return TrustRegionModel(center=center.copy(), radius=state.tr_radius,
+                            quad_coeffs=coeffs.copy(), fit_points=fit_points.copy(),
+                            fit_values=fit_values.copy())
+
+
+def _fit_rows(fit_points: np.ndarray, fit_values: np.ndarray, n_terms: int):
+    """``(coeffs, fit_points, fit_values)`` of the least-squares quadratic
+    through these rows, or why the fit is rank-deficient."""
     with np.errstate(over="ignore"):  # an overflowing term is caught below
         design = _quad_design(fit_points)
     if not np.isfinite(design).all():
-        raise RankDeficiencyError("quadratic terms of the fit points overflow float64")
+        return "quadratic terms of the fit points overflow float64"
     coeffs, _, rank, _ = np.linalg.lstsq(design, fit_values, rcond=None)
     if rank < n_terms:
-        raise RankDeficiencyError(
-            f"fit rank {rank} < {n_terms} required (degenerate fit geometry)")
-    return TrustRegionModel(center=center.copy(), radius=state.tr_radius,
-                            quad_coeffs=coeffs, fit_points=fit_points,
-                            fit_values=fit_values)
+        return f"fit rank {rank} < {n_terms} required (degenerate fit geometry)"
+    return coeffs, fit_points, fit_values
 
 
 def _uniform_draw(state: OptimizerState) -> np.ndarray:
@@ -709,19 +757,26 @@ def load_bundled_space(name: str = "table3") -> SearchSpace:
 
 
 # ------------------------------------------------------- builtin objectives
+# Each is evaluated with overflow ignored: on a space near 1e154 a square
+# overflows to inf, and the -inf it gives is reported by ``tell`` as a
+# non-finite value, with no RuntimeWarning before it.
 
+@np.errstate(over="ignore")
 def _quad2(x):
     return -(x[0] - 0.3) ** 2 - (x[1] - 0.7) ** 2
 
 
+@np.errstate(over="ignore")
 def _parabola(x):
     return -(x[0] - 0.3) ** 2
 
 
+@np.errstate(over="ignore")
 def _sphere(x):
     return -float(np.sum(np.square(x)))
 
 
+@np.errstate(over="ignore")
 def _rastrigin(x):
     x = np.asarray(x, dtype=np.float64)
     return -float(10 * len(x) + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))

@@ -340,6 +340,36 @@ def scipy_fd_ask_local(state, model) -> np.ndarray:
     return best_x
 
 
+def fit_quadratic_reference(state):
+    """``hyperopt.fit_quadratic_tr`` as it was before fits were reused: every
+    call sorts all trials by distance to the best and runs ``lstsq``. The
+    arrays are rebuilt from ``state.trials`` and the design matrix is built
+    row by row with ``_loop_features``."""
+    from odkit import hyperopt
+
+    n_terms = state.space.n_quad_terms
+    trials = state.trials
+    if len(trials) < n_terms:
+        raise ValueError(f"quadratic fit needs >= {n_terms} trials, have {len(trials)}")
+    pts = np.array([t.point for t in trials])
+    vals = np.array([t.value for t in trials])
+    center = trials[int(np.argmax(vals))].point
+    order = np.argsort(np.linalg.norm(pts - center, axis=1), kind="stable")
+    keep = order[: min(2 * n_terms, len(order))]
+    fit_points, fit_values = pts[keep], vals[keep]
+    with np.errstate(over="ignore"):
+        design = np.array([_loop_features(p) for p in fit_points])
+    if not np.isfinite(design).all():
+        raise hyperopt.RankDeficiencyError("quadratic terms of the fit points overflow float64")
+    coeffs, _, rank, _ = np.linalg.lstsq(design, fit_values, rcond=None)
+    if rank < n_terms:
+        raise hyperopt.RankDeficiencyError(
+            f"fit rank {rank} < {n_terms} required (degenerate fit geometry)")
+    return hyperopt.TrustRegionModel(center=center.copy(), radius=state.tr_radius,
+                                     quad_coeffs=coeffs, fit_points=fit_points,
+                                     fit_values=fit_values)
+
+
 def pure_random_search(objective, lows, highs, budget: int, seed: int) -> float:
     """Best value over plain uniform sampling; the baseline any informed
     search should beat."""

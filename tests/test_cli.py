@@ -13,7 +13,7 @@ from odkit import (
     read_records,
     total_weight,
 )
-from odkit import cli
+from odkit import cli, hyperopt
 from odkit.cli import TransferPlanEntry, main, plan_transfer
 
 GRID_FLAGS = ["--grid", "3x3x2", "--image", "96x96",
@@ -386,6 +386,17 @@ class TestHyperopt:
         assert len(asks) == 20 and err.startswith("best: value ")  # LAPACK printed nothing
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert {l["phase"] for l in lines} == {"global"} and lines[-1]["tr_fallbacks"] > 0
+
+    @pytest.mark.parametrize("name", sorted(hyperopt.BUILTIN_OBJECTIVES))
+    def test_overflowing_builtin_is_one_line_data_error(self, tmp_path, capsys, name):
+        # warnings are errors here, so an overflow warning would end in a traceback
+        space = tmp_path / "s.json"
+        space.write_text(json.dumps([{"name": n, "lo": 1.4e154, "hi": 1.5e154}
+                                     for n in ("x", "y")]))
+        assert run_cli("hyperopt", "--space", str(space), "--objective", f"builtin:{name}",
+                       "--budget", "3") == 2
+        assert capsys.readouterr().err == \
+            "odkit: error: objective value must be finite, got -inf\n"
 
     @pytest.mark.parametrize("entry, message", [
         ({"name": "k", "lo": 1, "hi": 16, "int": True}, "dim 'k': unknown keys ['int']"),

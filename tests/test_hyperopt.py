@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -13,7 +14,7 @@ from scipy.optimize._numdiff import approx_derivative
 from scipy.spatial.distance import pdist
 
 from odkit import hyperopt as hp
-from oracles import pure_random_search, scipy_fd_ask_local
+from oracles import fit_quadratic_reference, pure_random_search, scipy_fd_ask_local
 
 UNIT_1D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0),))
 UNIT_2D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0), hp.Dim("y", 0.0, 1.0)))
@@ -439,6 +440,27 @@ class TestCheckpointing:
             assert getattr(resumed, key) == getattr(straight, key)
         assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
 
+    def test_warm_fit_cache_leaves_the_checkpoint_alone(self, tmp_path):
+        space = hp.load_bundled_space("table3")
+        f = _table3_objective(space)
+        warm = hp.run_optimization(hp.new_optimizer(space, seed=4), f, 150)
+        assert warm._arrays.fit is not None
+        hp.save_state(warm, tmp_path / "warm.json")
+        cold = hp.load_state(tmp_path / "warm.json")
+        assert cold._arrays.fit is None
+        hp.save_state(cold, tmp_path / "cold.json")
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+        asks = [[], []]
+        for state, log in zip((warm, cold), asks):
+            for _ in range(50):
+                x = hp.ask(state)
+                hp.tell(state, x, f(x))
+                log.append(x.tobytes())
+        assert asks[0] == asks[1]
+        assert _trial_log(warm) == _trial_log(cold)
+        compared = {fld.name: fld.compare for fld in dataclasses.fields(hp.OptimizerState)}
+        assert compared["_arrays"] is False
+
     def test_pending_ask_and_model_survive(self, tmp_path):
         f = hp.BUILTIN_OBJECTIVES["quad2"]
         state = hp.new_optimizer(UNIT_2D, seed=6)
@@ -519,6 +541,74 @@ def _table3_objective(space):
 
 def _trial_log(state):
     return [(t.point.tobytes(), t.value, t.seq) for t in state.trials]
+
+
+def _table3_study(seed: int):
+    """A 1,000-trial table3 study: its state and the number of local asks."""
+    space = hp.load_bundled_space("table3")
+    f = _table3_objective(space)
+    state = hp.new_optimizer(space, seed=seed)
+    local = 0
+    for _ in range(1000):
+        x = hp.ask(state)
+        local += state.phase == "local"
+        hp.tell(state, x, f(x))
+    return state, local
+
+
+_MODEL_FIELDS = ("quad_coeffs", "fit_points", "fit_values", "center", "radius")
+
+
+def _fit_outcome(fit, state):
+    """``(model, key)``: the model ``fit(state)`` returns and its fields as
+    bytes, or ``(None, message)`` for the RankDeficiencyError it raises."""
+    try:
+        model = fit(state)
+    except hp.RankDeficiencyError as e:
+        return None, str(e)
+    return model, tuple(np.asarray(getattr(model, k)).tobytes() for k in _MODEL_FIELDS)
+
+
+class _FitLedger:
+    """Installs a ``fit_quadratic_tr`` that checks each call against
+    ``oracles.fit_quadratic_reference`` and counts the calls that fit
+    afresh (that reach ``_fit_rows``) and those that reuse the last fit."""
+
+    def __init__(self, mp: pytest.MonkeyPatch):
+        self.calls, self.fresh, self.mismatches = 0, 0, []
+        fit, fit_rows = hp.fit_quadratic_tr, hp._fit_rows
+
+        def counted_fit_rows(*args):
+            self.fresh += 1
+            return fit_rows(*args)
+
+        def checked_fit(state):
+            self.calls += 1
+            _, want = _fit_outcome(fit_quadratic_reference, state)
+            model, got = _fit_outcome(fit, state)
+            if got != want:
+                self.mismatches.append((len(state.trials), got, want))
+            if model is None:
+                raise hp.RankDeficiencyError(got)
+            return model
+
+        mp.setattr(hp, "_fit_rows", counted_fit_rows)
+        mp.setattr(hp, "fit_quadratic_tr", checked_fit)
+
+    @property
+    def reused(self) -> int:
+        return self.calls - self.fresh
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3, 5, 8])
+def table3_study(request):
+    """``(seed, state, local asks, ledger)`` of one 1,000-trial table3 study
+    per seed, run once for every test that reads it, with each quadratic
+    fit checked against the reference as it happens."""
+    with pytest.MonkeyPatch.context() as mp:
+        ledger = _FitLedger(mp)
+        state, local = _table3_study(request.param)
+    return request.param, state, local, ledger
 
 
 class TestTrialCache:
@@ -654,23 +744,10 @@ class TestLocalAskGradient:
         assert got.tobytes() == ref.tobytes()
         assert state.rng.bit_generator.state == ref_state.rng.bit_generator.state
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
-    def test_table3_study_log_is_unchanged(self, seed, monkeypatch):
-        space = hp.load_bundled_space("table3")
-        f = _table3_objective(space)
-
-        def study():
-            state = hp.new_optimizer(space, seed=seed)
-            local = 0
-            for _ in range(1000):
-                x = hp.ask(state)
-                local += state.phase == "local"
-                hp.tell(state, x, f(x))
-            return state, local
-
-        state, local = study()
+    def test_table3_study_log_is_unchanged(self, table3_study, monkeypatch):
+        seed, state, local, _ = table3_study
         monkeypatch.setattr(hp, "_ask_local", scipy_fd_ask_local)
-        ref, ref_local = study()
+        ref, ref_local = _table3_study(seed)
         assert local == ref_local > 0
         assert _trial_log(state) == _trial_log(ref)
         assert state.tr_fallbacks == ref.tr_fallbacks
@@ -717,6 +794,119 @@ class TestLocalAskGradient:
                 -np.eye(2), np.array([0.3, 0.1]), 0.0))
         x = hp._ask_local(hp.new_optimizer(space, seed=4), model)
         assert np.all(np.abs(x - model.center) <= model.radius)
+
+
+class TestFitReuse:
+    """``fit_quadratic_tr`` returns or raises its last fit again while the
+    best trial and the rows nearest it stay the same. Every fit, reused or
+    not, equals ``oracles.fit_quadratic_reference``'s byte for byte."""
+
+    def test_every_table3_fit_equals_the_reference(self, table3_study):
+        ledger = table3_study[3]
+        assert ledger.mismatches == []
+        assert 0 < ledger.reused < ledger.calls
+
+    def test_nine_dimensions_every_fit_equals_the_reference(self, monkeypatch):
+        # nine coordinates per row put the row norms in numpy's pairwise
+        # summation, where a sum's rounding depends on how it is split
+        scales = [(-2.0, 3.0), (0.0, 0.1), (10.0, 50.0), (-10.0, 10.0), (0.5, 0.6)]
+        space = hp.SearchSpace(tuple(hp.Dim(f"x{i}", *scales[i % len(scales)])
+                                     for i in range(8)) + (hp.Dim("n", 1, 16, is_integer=True),))
+        u0 = np.linspace(0.2, 0.8, space.d)
+
+        def f(x):
+            u = (np.asarray(x) - space.lows) / (space.highs - space.lows) - u0
+            return float(-np.sum(u * u) + 0.05 * np.sum(np.cos(6 * np.pi * u)))
+
+        ledger = _FitLedger(monkeypatch)
+        state = hp.new_optimizer(space, seed=2)
+        hp.run_optimization(state, f, 400)
+        assert ledger.mismatches == []
+        assert 0 < ledger.reused < ledger.calls
+        assert 0 < state.tr_fallbacks < ledger.calls  # models and errors both compared
+
+    @staticmethod
+    def _append(state, point, value):
+        state.trials.append(hp.Trial(point=np.array(point, float), value=float(value),
+                                     seq=len(state.trials)))
+
+    def _warm(self, ledger, n=20):
+        """A 2-D state of ``n`` trials after one fit: (state, the kept fit)."""
+        state = hp.new_optimizer(UNIT_2D, seed=0)
+        pts = np.random.default_rng(11).uniform(0, 1, (n, 2))
+        _seeded_trials(state, pts, np.sin(3 * pts[:, 0]) + np.cos(5 * pts[:, 1]))
+        hp.fit_quadratic_tr(state)
+        assert ledger.fresh == 1
+        return state, state._arrays.fit
+
+    def _fits_afresh(self, state, ledger) -> bool:
+        fresh = ledger.fresh
+        hp.fit_quadratic_tr(state)
+        assert ledger.mismatches == []
+        return ledger.fresh > fresh
+
+    @pytest.fixture
+    def ledger(self, monkeypatch):
+        return _FitLedger(monkeypatch)
+
+    def test_new_trial_at_the_reach_reuses(self, ledger):
+        state, fit = self._warm(ledger)
+        farthest = fit.outcome[1][-1]  # the last fit row lies at the reach
+        self._append(state, farthest, hp.best(state).value - 1.0)
+        assert not self._fits_afresh(state, ledger)
+
+    def test_new_trial_one_ulp_closer_refits(self, ledger):
+        state, fit = self._warm(ledger)
+        centre, farthest = hp.best(state).point, fit.outcome[1][-1]
+        closer = np.nextafter(fit.reach, 0.0)
+        steps = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
+        nudged = (farthest + np.array([i, j]) * np.spacing(farthest) for i, j in steps)
+        point = next(p for p in nudged
+                     if np.linalg.norm(p[None] - centre, axis=1)[0] == closer)
+        self._append(state, point, hp.best(state).value - 1.0)
+        assert self._fits_afresh(state, ledger)
+        assert any(np.array_equal(point, p) for p in state._arrays.fit.outcome[1])
+
+    def test_new_best_refits(self, ledger):
+        state, _ = self._warm(ledger)
+        self._append(state, [0.9, 0.9], hp.best(state).value + 1.0)
+        assert self._fits_afresh(state, ledger)
+
+    def test_new_best_refits_when_the_reach_is_zero(self, ledger):
+        # the six rows kept sit on the best, so the new best, at distance 0
+        # from itself, is as far as the reach; only the changed best tells
+        state = hp.new_optimizer(UNIT_1D, seed=0)
+        _seeded_trials(state, [[0.5]] * 6 + [[0.1], [0.15], [0.25], [0.3], [0.35]],
+                       [1.0] * 6 + [0.0] * 5)
+        with pytest.raises(hp.RankDeficiencyError):
+            hp.fit_quadratic_tr(state)
+        assert state._arrays.fit.reach == 0.0
+        self._append(state, [0.2], 2.0)
+        assert self._fits_afresh(state, ledger)
+
+    def test_fit_over_every_trial_is_not_kept(self, ledger):
+        # 8 trials, fewer than m = 12: a new row joins the fit however far it is
+        state, fit = self._warm(ledger, n=8)
+        assert fit is None
+        self._append(state, [5.0, 5.0], hp.best(state).value - 1.0)
+        assert self._fits_afresh(state, ledger)
+
+    @pytest.mark.parametrize("change", ["replaced", "shortened"])
+    def test_changed_trial_list_refits(self, ledger, change):
+        state, _ = self._warm(ledger)
+        if change == "replaced":
+            state.trials = [hp.Trial(t.point.copy(), t.value, t.seq) for t in state.trials]
+        else:
+            del state.trials[-1]
+        assert self._fits_afresh(state, ledger)
+
+    def test_loaded_state_refits(self, ledger, tmp_path):
+        state, _ = self._warm(ledger)
+        hp.save_state(state, tmp_path / "ckpt.json")
+        loaded = hp.load_state(tmp_path / "ckpt.json")
+        assert loaded._arrays.fit is None
+        assert self._fits_afresh(loaded, ledger)
+        assert not self._fits_afresh(loaded, ledger)
 
 
 class TestSearchSpace:

@@ -398,6 +398,19 @@ class TestMatchSerial:
         for boxes, ids in zip(batch, got.anchor_ids):
             assert list(ids) == serial_match_reference(anchors, boxes)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_yolo_images_match_scan_reference(self, seed):
+        # match_serial and strict match_parallel share one selection kernel,
+        # so each is checked against the scan, not against the other
+        rng = np.random.default_rng(seed)
+        anchors, batch = yolo_grid(), yolo_batch(rng, rng.integers(1, 21, 3), size_lo=2)
+        sparse = to_sparse(batch)
+        serial = match_serial(anchors, batch)
+        strict = match_parallel(build_rankings(anchors, sparse), sparse)
+        for boxes, s_ids, p_ids in zip(batch, serial.anchor_ids, strict.anchor_ids):
+            want = serial_match_reference(anchors, boxes)
+            assert list(s_ids) == want and list(p_ids) == want
+
     def test_no_anchors_and_only_empty_images(self):
         assert [ids.tolist() for ids in match_serial([], [[], []]).anchor_ids] == [[], []]
 
