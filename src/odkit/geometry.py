@@ -25,7 +25,10 @@ class InvalidSpecError(ValueError):
 
 @dataclass(frozen=True)
 class Box:
-    """Center-form bounding box in pixel units."""
+    """Center-form bounding box in pixel units. Raises
+    :class:`InvalidBoxError` for a value that is not a finite float64
+    (NaN, ±inf, or an integer beyond float64's range) and for a
+    non-positive width or height."""
 
     x: float
     y: float
@@ -34,7 +37,11 @@ class Box:
 
     def __post_init__(self):
         vals = (self.x, self.y, self.w, self.h)
-        if not all(np.isfinite(v) for v in vals):
+        try:
+            finite = all(map(math.isfinite, vals))
+        except OverflowError:  # an integer beyond float64's range
+            finite = False
+        if not finite:
             raise InvalidBoxError(f"non-finite box {vals}")
         if self.w <= 0 or self.h <= 0:
             raise InvalidBoxError(f"non-positive box dimensions {vals}")
@@ -322,16 +329,27 @@ def build_anchor_grid(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """A detection candidate: box, confidence score in [0, 1], class id."""
+    """A detection candidate: box, confidence score in [0, 1], class id.
+
+    ``class_id`` is a non-negative integer, or a float with a whole value.
+    """
 
     box: Box
     score: float
     class_id: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
+        try:
+            valid = math.isfinite(self.score) and 0.0 <= self.score <= 1.0
+        except OverflowError:  # an integer beyond float64's range
+            valid = False
+        if not valid:
             raise ValueError(f"score must be finite and in [0, 1], got {self.score}")
-        if self.class_id < 0:
+        c = self.class_id
+        if type(c) is not int and not (isinstance(c, numbers.Integral) or (
+                isinstance(c, numbers.Real) and float(c).is_integer())):
+            raise ValueError(f"class_id must be an integer, got {c!r}")
+        if c < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
 
 

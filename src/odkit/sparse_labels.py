@@ -33,6 +33,7 @@ its whole block's arrays.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +55,12 @@ _U16_MAX = 0xFFFF
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
 # slack absorbs float32 storage and mirror-arithmetic rounding
 _BOUNDS_SLACK = 1e-3
+# records of up to this many boxes are checked by _plain_check first, in
+# plain Python; larger ones go straight to _check_values's numpy calls.
+# Whole constructor, 2-CPU machine, timeit best of 9: 11.7 us (plain) against
+# 17.4-18.3 us (numpy) at 32 boxes, 16.4-16.9 against 18.1-18.2 at 48; the
+# two meet at about 52 boxes
+_PLAIN_CHECK_BOXES = 48
 # the file is read this many bytes at a time, and written in blocks of at least as many
 _BLOCK_BYTES = 1 << 16
 # the longest payload a record can have: its header and 65,535 boxes
@@ -78,7 +85,14 @@ class CorruptBatchError(ValueError):
 
 @dataclass
 class LabelRecord:
-    """Labels for one image: its id, pixel size, and per-box class ids."""
+    """Labels for one image: its id, pixel size, and per-box class ids.
+
+    ``image_id``, ``image_w`` and ``image_h`` must be integers (Python or
+    numpy, not ``bool``), and class ids whole numbers; with the u16 and
+    u64 ranges and the box checks of :func:`_check_values` this keeps
+    every constructed record writable as ODR1. Raises ValueError (for a
+    box value, :class:`~odkit.geometry.InvalidBoxError`) otherwise.
+    """
 
     image_id: int
     image_w: int
@@ -88,11 +102,18 @@ class LabelRecord:
 
     def __post_init__(self):
         self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
-        self.classes = np.asarray(self.classes, dtype=np.int64).reshape(-1)
+        self.classes = _class_ids(self.classes)
         if len(self.boxes) != len(self.classes):
             raise ValueError("boxes and classes must have equal length")
+        for name, v in (("image_id", self.image_id), ("image_w", self.image_w),
+                        ("image_h", self.image_h)):
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.image_id <= _U64_MAX:
             raise ValueError(f"image_id {self.image_id} outside u64 range")
+        if len(self.boxes) <= _PLAIN_CHECK_BOXES and _plain_check(
+                self.image_w, self.image_h, self.boxes, self.classes):
+            return
         _check_values(self.image_w, self.image_h, self.boxes, self.classes)
 
     def __eq__(self, other) -> bool:
@@ -103,6 +124,42 @@ class LabelRecord:
                 and self.image_h == other.image_h
                 and np.array_equal(self.boxes, other.boxes)
                 and np.array_equal(self.classes, other.classes))
+
+
+def _class_ids(classes) -> np.ndarray:
+    """``classes`` as a flat int64 array. Float ids must be whole numbers;
+    ones outside u16 are clipped to just outside it, so that the range
+    check rejects them without an overflowing cast."""
+    raw = np.asarray(classes)
+    if raw.dtype.kind == "f":
+        if not (np.isfinite(raw).all() and (raw == np.trunc(raw)).all()):
+            raise ValueError("class ids must be integers")
+        classes = np.clip(raw, -1, _U16_MAX + 1)
+    return np.asarray(classes, dtype=np.int64).reshape(-1)
+
+
+def _plain_check(image_w, image_h, boxes, classes) -> bool:
+    """Whether :func:`_check_values` accepts this one record of at most
+    65,535 boxes, found with one plain-Python pass over its values. On
+    False the caller runs ``_check_values``, which raises the error.
+
+    The comparisons are the ones ``_check_values`` makes, on the same
+    float64 values with the same IEEE operations. A NaN or infinite
+    coordinate fails one of them, so every box that passes is finite.
+    """
+    if not (1 <= image_w <= _U16_MAX and 1 <= image_h <= _U16_MAX):
+        return False
+    ids = classes.tolist()
+    if ids and not (min(ids) >= 0 and max(ids) <= _U16_MAX):
+        return False
+    s = _BOUNDS_SLACK
+    x_hi, y_hi = image_w + s, image_h + s
+    for x, y, w, h in boxes.tolist():
+        hw, hh = w / 2, h / 2
+        if not (w > 0 and h > 0 and x - hw >= -s and y - hh >= -s
+                and x + hw <= x_hi and y + hh <= y_hi):
+            return False
+    return True
 
 
 def _check_values(image_w, image_h, boxes, classes, counts=None):

@@ -231,6 +231,25 @@ def nms_reference(boxes, scores, classes, thresh: float) -> list[int]:
     return kept
 
 
+def box_error_reference(x, y, w, h):
+    """``Box``'s value check as it was with one ``np.isfinite`` call per
+    value, frozen: the InvalidBoxError message it raised, or None."""
+    vals = (x, y, w, h)
+    if not all(np.isfinite(v) for v in vals):
+        return f"non-finite box {vals}"
+    if w <= 0 or h <= 0:
+        return f"non-positive box dimensions {vals}"
+    return None
+
+
+def score_error_reference(score):
+    """``ScoredBox``'s score check as it was with ``np.isfinite``, frozen:
+    the ValueError message it raised, or None."""
+    if not np.isfinite(score) or not 0.0 <= score <= 1.0:
+        return f"score must be finite and in [0, 1], got {score}"
+    return None
+
+
 def random_geometric_instance(rng: np.random.Generator, max_images: int = 4,
                               max_boxes: int = 6, image_w: int = 96, image_h: int = 96):
     """A random anchor set plus per-image ground-truth boxes, sized so

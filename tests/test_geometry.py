@@ -21,7 +21,8 @@ from odkit import (
     matching_distance,
     nms,
 )
-from oracles import cell_iou, grid_stress_boxes, mc_iou, nms_reference, random_grid_spec
+from oracles import (box_error_reference, cell_iou, grid_stress_boxes, mc_iou, nms_reference,
+                     random_grid_spec, score_error_reference)
 
 coord = st.floats(-100, 100, allow_nan=False, width=32).map(float)
 size = st.floats(0.25, 64, allow_nan=False, width=32).filter(lambda v: v > 0).map(float)
@@ -75,6 +76,64 @@ class TestBoxValidation:
             Box(float("nan"), 0, 1, 1)
         with pytest.raises(InvalidBoxError):
             Box(0, float("inf"), 1, 1)
+
+    @pytest.mark.parametrize("col", range(4))
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_integer_beyond_float64_is_not_finite(self, col, big):
+        vals = [0, 0, 1, 1]
+        vals[col] = big
+        with pytest.raises(InvalidBoxError, match="non-finite box"):
+            Box(*vals)
+
+    @given(st.floats(), st.floats(), st.floats(), st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_the_floats_it_did(self, x, y, w, h):
+        want = box_error_reference(x, y, w, h)
+        if want is None:
+            Box(x, y, w, h)
+        else:
+            with pytest.raises(InvalidBoxError) as err:
+                Box(x, y, w, h)
+            assert str(err.value) == want
+
+
+class TestScoredBoxValidation:
+    BOX = Box(5, 5, 4, 4)
+
+    @given(st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0)]))
+    @settings(max_examples=200, deadline=None)
+    def test_score_accepts_and_rejects_the_floats_it_did(self, score):
+        want = score_error_reference(score)
+        if want is None:
+            assert ScoredBox(self.BOX, score).score == score
+        else:
+            with pytest.raises(ValueError) as err:
+                ScoredBox(self.BOX, score)
+            assert str(err.value) == want
+
+    def test_score_beyond_float64_is_a_value_error(self):
+        with pytest.raises(ValueError, match="score must be finite"):
+            ScoredBox(self.BOX, 10**400)
+
+    @pytest.mark.parametrize("class_id", [1.5, float("nan"), float("inf"), "1", None])
+    def test_rejects_non_integral_class_id(self, class_id):
+        with pytest.raises(ValueError, match="class_id must be an integer"):
+            ScoredBox(self.BOX, 0.5, class_id)
+
+    @pytest.mark.parametrize("class_id", [0, 2, 2.0, np.int64(2), np.uint16(2), np.float32(2)])
+    def test_accepts_integral_class_id(self, class_id):
+        assert ScoredBox(self.BOX, 0.5, class_id).class_id == class_id
+
+    @pytest.mark.parametrize("class_id", [-1, -1.0, np.int64(-3)])
+    def test_rejects_negative_class_id(self, class_id):
+        with pytest.raises(ValueError, match="non-negative"):
+            ScoredBox(self.BOX, 0.5, class_id)
+
+    def test_integer_valued_float_class_suppresses_its_int_twin(self):
+        # a NaN class id, now rejected, never compared equal, so two
+        # identical boxes of "one" class both survived nms
+        cands = [ScoredBox(self.BOX, 0.9, 2.0), ScoredBox(self.BOX, 0.8, 2)]
+        assert nms(cands, 0.5) == [0]
 
 
 GOOD = [[20.0, 20, 8, 8], [30.0, 10, 4, 6]]

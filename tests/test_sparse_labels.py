@@ -27,7 +27,8 @@ from odkit import (
 import odkit.sparse_labels
 import oracles
 from odkit.geometry import InvalidBoxError, InvalidSpecError, as_box_array
-from odkit.sparse_labels import _BLOCK_BYTES
+from odkit.sparse_labels import (_BLOCK_BYTES, _BOUNDS_SLACK, _PLAIN_CHECK_BOXES, _check_values,
+                                 _plain_check)
 from oracles import per_record_read_records, struct_write_records
 
 
@@ -126,11 +127,143 @@ class TestLabelRecord:
         assert errors[0][0] is InvalidBoxError
         assert errors == [errors[0]] * 3
 
+    @pytest.mark.parametrize("field", ["image_id", "image_w", "image_h"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, np.float64(10), True, np.bool_(True), "10"])
+    def test_rejects_non_integer_header_fields(self, field, value):
+        # 1.5 as an id or 10.5 as a width used to pass, and write_records
+        # then raised struct.error, which is not a ValueError
+        args = {"image_id": 1, "image_w": 10, "image_h": 10}
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            LabelRecord(**args, boxes=[(5, 5, 2, 2)], classes=[0])
+
+    def test_numpy_integer_header_fields_write_the_same_bytes(self, tmp_path):
+        boxes, classes = [(5.0, 5, 2, 2)], [3]
+        plain = LabelRecord(2**64 - 1, 640, 480, boxes, classes)
+        numpy = LabelRecord(np.uint64(2**64 - 1), np.uint16(640), np.int32(480), boxes, classes)
+        assert numpy == plain
+        write_records(tmp_path / "a.odr", [plain])
+        write_records(tmp_path / "b.odr", [numpy])
+        assert (tmp_path / "a.odr").read_bytes() == (tmp_path / "b.odr").read_bytes()
+
+    @pytest.mark.parametrize("classes", [[1.7], [0, 0.5], [np.nan], [np.inf], [-np.inf],
+                                         np.array([2.25], np.float32)])
+    def test_rejects_non_integral_class_ids(self, classes):
+        # [1.7] used to be stored as 1
+        boxes = [(10, 10, 4, 4)] * len(classes)
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            LabelRecord(0, 64, 64, boxes, classes)
+
+    def test_integer_valued_float_class_ids_are_stored_as_ints(self):
+        rec = LabelRecord(0, 64, 64, [(10, 10, 4, 4)] * 3, [0.0, 2.0, 65535.0])
+        assert rec.classes.dtype == np.int64 and rec.classes.tolist() == [0, 2, 65535]
+
+    @pytest.mark.parametrize("bad_class", [-1.0, 65536.0, 1e20, -1e300])
+    def test_float_class_ids_outside_u16(self, bad_class):
+        # no cast overflows on the way: under the test warning filter a
+        # RuntimeWarning from one would fail the test
+        with pytest.raises(ValueError, match="class ids outside u16 range"):
+            LabelRecord(0, 64, 64, [(10, 10, 4, 4)] * 2, [1.0, bad_class])
+
     def test_equality(self):
         a = _rec(1, [(10, 10, 4, 4)], [2])
         b = _rec(1, [(10, 10, 4, 4)], [2])
         c = _rec(1, [(10, 10, 4, 4)], [3])
         assert a == b and a != c
+
+
+# values that put a box outside what LabelRecord accepts, one coordinate at a time
+_BAD_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0]
+
+
+def _step(v, ulps):
+    """``v`` moved by ``ulps`` float64 steps."""
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, np.copysign(np.inf, ulps))
+    return float(v)
+
+
+@st.composite
+def record_fields(draw):
+    """The fields of a record near one edge of LabelRecord's checks, with
+    at most one value past it: box counts around the plain-Python
+    threshold; boxes on the 1e-3 slack bound or one ulp either side of
+    it; NaN, infinite, zero and negative box values; class ids and image
+    sizes at and beyond their u16 ends; numpy-integer fields."""
+    t = _PLAIN_CHECK_BOXES
+    nb = draw(st.sampled_from([t - 1, t, t + 1]) | st.integers(0, 6))
+    sizes = [draw(st.sampled_from([1, 65535]) | st.integers(1, 300)) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = np.array(sizes, dtype=np.float64)
+    wh = rng.uniform(0.25, 1, (nb, 2)) * dims
+    boxes = np.hstack([wh / 2 + rng.uniform(0, 1, (nb, 2)) * (dims - wh), wh])
+    classes = rng.integers(0, 10, nb)
+    edit = draw(st.sampled_from(["none", "image size", "value", "class", "low edge", "high edge"]))
+    i, axis = draw(st.integers(0, max(nb - 1, 0))), draw(st.integers(0, 1))
+    if edit == "image size":
+        sizes[axis] = draw(st.sampled_from([0, 65536]))
+        if draw(st.booleans()):  # no box then fails first
+            boxes, classes = boxes[:0], classes[:0]
+    elif nb and edit == "value":
+        boxes[i, draw(st.integers(0, 3))] = draw(st.sampled_from(_BAD_VALUES))
+    elif nb and edit == "class":
+        classes[i] = draw(st.sampled_from([-1, 65535, 65536]))
+    elif nb and edit != "none":
+        half, s = boxes[i, axis + 2] / 2, _BOUNDS_SLACK
+        edge = half - s if edit == "low edge" else (dims[axis] + s) - half
+        boxes[i, axis] = _step(edge, draw(st.integers(-1, 1)))
+    as_int = draw(st.sampled_from([int, np.int64, np.uint32]))
+    image_id = draw(st.sampled_from([int, np.uint64]))(draw(st.integers(0, 2**64 - 1)))
+    return image_id, as_int(sizes[0]), as_int(sizes[1]), boxes, classes
+
+
+class TestPlainCheck:
+    """LabelRecord checks a record of up to ``_PLAIN_CHECK_BOXES`` boxes in
+    plain Python first; it must accept exactly what ``_check_values``
+    accepts, and raise what it raises otherwise."""
+
+    @given(record_fields())
+    @settings(max_examples=600, deadline=None)
+    def test_accepts_exactly_what_check_values_accepts(self, fields):
+        image_id, image_w, image_h, boxes, classes = fields
+        want = _error(lambda: _check_values(image_w, image_h, boxes, classes))
+        assert _error(lambda: LabelRecord(*fields)) == want
+        # the plain pass fails only records _check_values rejects, so a
+        # good record is never checked twice
+        assert _plain_check(image_w, image_h, boxes, classes) == (want is None)
+        if want is None:
+            rec = LabelRecord(*fields)
+            assert (rec.image_id, rec.image_w, rec.image_h) == (image_id, image_w, image_h)
+            assert np.array_equal(rec.boxes, boxes) and np.array_equal(rec.classes, classes)
+
+    @pytest.mark.parametrize("col", range(4))
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    @pytest.mark.parametrize("nb", [1, _PLAIN_CHECK_BOXES, _PLAIN_CHECK_BOXES + 1])
+    def test_bad_value_in_each_coordinate(self, col, value, nb):
+        boxes = np.tile([[10.0, 10, 4, 4]], (nb, 1))
+        boxes[-1, col] = value
+        classes = np.zeros(nb, np.int64)
+        want = _error(lambda: _check_values(64, 64, boxes, classes))
+        assert want is not None
+        assert _error(lambda: LabelRecord(0, 64, 64, boxes, classes)) == want
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_slack_bound_is_inclusive(self, axis, side):
+        # sizes picked so that the box's edge lands exactly on the bound,
+        # and one ulp of its center moves the edge one ulp past it
+        s = _BOUNDS_SLACK
+        w = 4 * s if side == "low" else 4.0
+        boxes = np.array([[50.0, 50, w, w]])
+        boxes[0, axis] = w / 2 - s if side == "low" else (100 + s) - w / 2
+        if side == "low":
+            assert boxes[0, axis] - w / 2 == -s
+        else:
+            assert boxes[0, axis] + w / 2 == 100 + s
+        LabelRecord(0, 100, 100, boxes, [0])
+        boxes[0, axis] = _step(boxes[0, axis], -1 if side == "low" else 1)
+        with pytest.raises(ValueError, match="outside image bounds"):
+            LabelRecord(0, 100, 100, boxes, [0])
 
 
 class TestBatchCoding:
