@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import hyperopt as hp
 from . import matching, pipeline, sparse_labels
+from ._checks import is_integer
 from .geometry import GridSpec, InvalidSpecError, build_anchor_grid
 
 USAGE_ERROR = 1
@@ -53,8 +54,8 @@ class TransferPlanEntry:
     def __post_init__(self):
         if self.source not in ("A", "B"):
             raise ValueError(f"source must be 'A' or 'B', got {self.source!r}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if not (is_integer(self.n_layers) and self.n_layers >= 1):
+            raise ValueError(f"n_layers must be >= 1 and an integer, got {self.n_layers!r}")
 
     @property
     def label(self) -> str:
@@ -63,8 +64,8 @@ class TransferPlanEntry:
 
 def plan_transfer(layers: int) -> list[TransferPlanEntry]:
     """All 2 sources x layer depths x 2 tune modes entries, in label order."""
-    if layers < 1:
-        raise ValueError(f"layers must be >= 1, got {layers}")
+    if not (is_integer(layers) and layers >= 1):
+        raise ValueError(f"layers must be >= 1 and an integer, got {layers!r}")
     return [TransferPlanEntry(src, n, ft)
             for src in ("A", "B")
             for n in range(1, layers + 1)

@@ -8,11 +8,12 @@ in this package's interfaces.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from ._checks import is_integer, is_real, is_real_array
 
 
 class InvalidBoxError(ValueError):
@@ -26,9 +27,8 @@ class InvalidSpecError(ValueError):
 @dataclass(frozen=True)
 class Box:
     """Center-form bounding box in pixel units. Raises
-    :class:`InvalidBoxError` for a value that is not a finite float64
-    (NaN, ±inf, or an integer beyond float64's range) and for a
-    non-positive width or height."""
+    :class:`InvalidBoxError` for a value that is not a real (README,
+    "Input rules") or a non-positive width or height."""
 
     x: float
     y: float
@@ -36,14 +36,10 @@ class Box:
     h: float
 
     def __post_init__(self):
-        vals = (self.x, self.y, self.w, self.h)
-        try:
-            finite = all(map(math.isfinite, vals))
-        except OverflowError:  # an integer beyond float64's range
-            finite = False
-        if not finite:
+        x, y, w, h = vals = (self.x, self.y, self.w, self.h)
+        if not (is_real(x) and is_real(y) and is_real(w) and is_real(h)):
             raise InvalidBoxError(f"non-finite box {vals}")
-        if self.w <= 0 or self.h <= 0:
+        if w <= 0 or h <= 0:
             raise InvalidBoxError(f"non-positive box dimensions {vals}")
 
     def as_array(self) -> np.ndarray:
@@ -54,8 +50,8 @@ def as_box_array(boxes) -> np.ndarray:
     """Coerce boxes to a validated (N, 4) float64 array.
 
     Accepts an (N, 4) array-like, a sequence of :class:`Box`, or a sequence
-    of 4-tuples. Raises :class:`InvalidBoxError` on non-finite values or
-    non-positive widths/heights.
+    of 4-tuples. Raises :class:`InvalidBoxError` on values that break
+    README's "Input rules", and on non-positive widths/heights.
     """
     arr = _box_rows(boxes)
     _check_box_values(arr)
@@ -72,7 +68,7 @@ def _as_box_arrays(images) -> list[np.ndarray]:
             arrays.append(_box_rows(boxes))
         if arrays:
             _check_box_values(np.concatenate(arrays))
-    except (ValueError, TypeError):
+    except ValueError:
         for arr in arrays:  # an earlier image's error comes first
             _check_box_values(arr)
         raise
@@ -80,20 +76,19 @@ def _as_box_arrays(images) -> list[np.ndarray]:
 
 
 def _box_rows(boxes) -> np.ndarray:
-    """``boxes`` as an (N, 4) float64 array, its values not yet checked."""
-    if isinstance(boxes, np.ndarray) and boxes.ndim == 2 and boxes.shape[1] == 4:
-        arr = boxes.astype(np.float64, copy=False)
-    else:
-        rows = [(b.x, b.y, b.w, b.h) if isinstance(b, Box) else b for b in boxes]
+    """``boxes`` as an (N, 4) float64 array. Its dtype, or that of the
+    array numpy makes of a sequence, is checked; its values are not."""
+    if not isinstance(boxes, np.ndarray):
         try:
-            arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, 4), dtype=np.float64)
-        except (ValueError, TypeError):
-            # ragged or unconvertible rows: raise what converting and
-            # stacking them one by one raises
-            arr = np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise InvalidBoxError(f"expected (N, 4) boxes, got shape {arr.shape}")
-    return arr
+            rows = [(b.x, b.y, b.w, b.h) if isinstance(b, Box) else b for b in boxes]
+            boxes = np.array(rows) if rows else np.empty((0, 4))
+        except (TypeError, ValueError):  # not a sequence, or ragged rows
+            raise InvalidBoxError("expected (N, 4) boxes, got rows of no common shape") from None
+    if boxes.shape[1:] != (4,):
+        raise InvalidBoxError(f"expected (N, 4) boxes, got shape {boxes.shape}")
+    if not is_real_array(boxes):
+        raise InvalidBoxError(f"box values must be real numbers, got dtype {boxes.dtype}")
+    return boxes.astype(np.float64, copy=False)
 
 
 def _check_box_values(boxes: np.ndarray) -> None:
@@ -105,15 +100,9 @@ def _check_box_values(boxes: np.ndarray) -> None:
         raise InvalidBoxError("non-positive box dimensions")
 
 
-def _one_box(b) -> np.ndarray:
-    if isinstance(b, Box):
-        return b.as_array()
-    return as_box_array([b])[0]
-
-
 def iou(a, b) -> float:
     """Intersection over union of two center-form boxes, in [0, 1]."""
-    return float(iou_matrix(_one_box(a)[None, :], _one_box(b)[None, :])[0, 0])
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -233,7 +222,7 @@ def matching_distance_matrix(a, b) -> np.ndarray:
 
 def euclidean_distance(a, b) -> float:
     """L2 distance between the two (x, y, w, h) 4-vectors."""
-    return float(_euclidean_distance_matrix(_one_box(a)[None, :], _one_box(b)[None, :])[0, 0])
+    return float(euclidean_distance_matrix([a], [b])[0, 0])
 
 
 def euclidean_distance_matrix(a, b) -> np.ndarray:
@@ -276,7 +265,8 @@ class GridSpec:
 
     Anchor centers are evenly spaced with an (index+1)/(count+1) rule so all
     centers fall strictly inside the image. The flattened anchor index is
-    ``((j * grid_w) + i) * K + k`` for column i, row j, template k.
+    ``((j * grid_w) + i) * K + k`` for column i, row j, template k. A value
+    outside README's "Input rules" raises :class:`InvalidSpecError`.
     """
 
     image_w: float
@@ -286,20 +276,24 @@ class GridSpec:
     templates: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.image_w) and math.isfinite(self.image_h)
+        if not (is_real(self.image_w) and is_real(self.image_h)
                 and self.image_w > 0 and self.image_h > 0):
             raise InvalidSpecError("image dimensions must be positive and finite")
         for size in (self.grid_w, self.grid_h):
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            if not is_integer(size):
                 raise InvalidSpecError(f"grid dimensions must be integers, got {size!r}")
         if self.grid_w < 1 or self.grid_h < 1:
             raise InvalidSpecError("grid dimensions must be >= 1")
-        if len(self.templates) == 0:
+        try:
+            templates = tuple((tw, th) for tw, th in self.templates)
+        except (TypeError, ValueError):
+            raise InvalidSpecError(f"templates must be (w, h) pairs, got {self.templates!r}") from None
+        if not templates:
             raise InvalidSpecError("at least one template shape is required")
-        for tw, th in self.templates:
-            if not (math.isfinite(tw) and math.isfinite(th) and tw > 0 and th > 0):
+        for tw, th in templates:
+            if not (is_real(tw) and is_real(th) and tw > 0 and th > 0):
                 raise InvalidSpecError(f"template shape ({tw}, {th}) must be positive and finite")
-        object.__setattr__(self, "templates", tuple((float(tw), float(th)) for tw, th in self.templates))
+        object.__setattr__(self, "templates", tuple((float(tw), float(th)) for tw, th in templates))
 
     @property
     def n_anchors(self) -> int:
@@ -331,7 +325,7 @@ def build_anchor_grid(spec: GridSpec) -> np.ndarray:
 class ScoredBox:
     """A detection candidate: box, confidence score in [0, 1], class id.
 
-    ``class_id`` is a non-negative integer, or a float with a whole value.
+    Values follow README's "Input rules", else ValueError.
     """
 
     box: Box
@@ -339,15 +333,10 @@ class ScoredBox:
     class_id: int = 0
 
     def __post_init__(self):
-        try:
-            valid = math.isfinite(self.score) and 0.0 <= self.score <= 1.0
-        except OverflowError:  # an integer beyond float64's range
-            valid = False
-        if not valid:
+        if not (is_real(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be finite and in [0, 1], got {self.score}")
         c = self.class_id
-        if type(c) is not int and not (isinstance(c, numbers.Integral) or (
-                isinstance(c, numbers.Real) and float(c).is_integer())):
+        if not (is_integer(c) or (is_real(c) and float(c).is_integer())):
             raise ValueError(f"class_id must be an integer, got {c!r}")
         if c < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
@@ -369,7 +358,7 @@ def nms(candidates: Sequence[ScoredBox], thresh: float) -> list[int]:
     at a time, each against the candidates not yet visited, so memory
     stays O(candidates) for a fixed block.
     """
-    if not 0.0 <= thresh <= 1.0:
+    if not (is_real(thresh) and 0.0 <= thresh <= 1.0):
         raise ValueError(f"thresh must be in [0, 1], got {thresh}")
     if not candidates:
         return []

@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial.distance import pdist
+
+from ._checks import is_integer, is_real
 
 # exploitation draws give up after this many rejected uniform samples and
 # return the sample with the largest upper bound instead
@@ -67,8 +68,11 @@ class Dim:
     is_integer: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (is_real(self.lo) and is_real(self.hi)):
             raise ValueError(f"dim {self.name!r}: bounds must be finite")
+        if not isinstance(self.is_integer, bool):
+            raise ValueError(f"dim {self.name!r}: is_integer must be true or false, "
+                             f"got {self.is_integer!r}")
         if not self.lo < self.hi:
             raise ValueError(f"dim {self.name!r}: lo must be < hi, got [{self.lo}, {self.hi}]")
         if self.is_integer and math.ceil(self.lo) > self.hi:
@@ -94,8 +98,8 @@ class SearchSpace:
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise ValueError(f"dimension names must be unique, got {names}")
-        object.__setattr__(self, "lows", _read_only(np.array([d.lo for d in self.dims])))
-        object.__setattr__(self, "highs", _read_only(np.array([d.hi for d in self.dims])))
+        object.__setattr__(self, "lows", _read_only(np.array([d.lo for d in self.dims], float)))
+        object.__setattr__(self, "highs", _read_only(np.array([d.hi for d in self.dims], float)))
 
     @property
     def d(self) -> int:
@@ -227,13 +231,15 @@ class OptimizerState:
 
 def new_optimizer(space: SearchSpace, exploration_p: float = 0.1, alpha: float = 0.5,
                   noise_eps: float = 0.0, seed: int = 0) -> OptimizerState:
-    if not 0.0 <= exploration_p <= 1.0:
+    if not (is_real(exploration_p) and 0.0 <= exploration_p <= 1.0):
         raise ValueError(f"exploration_p must be in [0, 1], got {exploration_p}")
     # k grows in steps of (1 + alpha), so 1 + alpha must exceed 1 in float64
-    if not (math.isfinite(alpha) and 1.0 + alpha > 1.0):
+    if not (is_real(alpha) and 1.0 + alpha > 1.0):
         raise ValueError(f"alpha must be finite and > 0 with 1 + alpha > 1, got {alpha}")
-    if not (math.isfinite(noise_eps) and noise_eps >= 0.0):
+    if not (is_real(noise_eps) and noise_eps >= 0.0):
         raise ValueError(f"noise_eps must be finite and >= 0, got {noise_eps}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not math.isfinite(space.diagonal):
         raise ValueError(f"search space too wide: its diagonal is {space.diagonal} in float64")
     return OptimizerState(space=space, exploration_p=exploration_p, alpha=alpha,
@@ -256,18 +262,12 @@ def lipschitz_estimate(trials, alpha: float) -> float:
 
     Zero-distance pairs (repeat evaluations of one point) are excluded, so
     noisy duplicates never force an infinite estimate. Fewer than two
-    distinct points give 0.
+    distinct points give 0. Slopes are found as ``tell`` finds them.
     """
-    if len(trials) < 2:
-        return 0.0
-    pts = np.array([t.point for t in trials])
-    vals = np.array([[t.value] for t in trials])
-    dd = pdist(pts)
-    vd = pdist(vals, metric="cityblock")
-    mask = dd > 0
-    if not mask.any():
-        return 0.0
-    return _snap_slope(float((vd[mask] / dd[mask]).max()), alpha)
+    arrays = _TrialArrays(np.empty((0, len(trials[0].point) if trials else 0)), np.empty(0))
+    for t in trials:
+        arrays.append(t)
+    return _snap_slope(arrays.max_slope, alpha)
 
 
 def _snap_slope(s: float, alpha: float) -> float:
@@ -285,8 +285,8 @@ def _snap_slope(s: float, alpha: float) -> float:
 def _max_slope_to(pts: np.ndarray, vals: np.ndarray, x: np.ndarray, v: float) -> float:
     """Steepest |v - vals_j| / ||x - pts_j|| over rows at distance > 0.
 
-    The squares are summed column by column, in pdist's order, so every
-    slope is bitwise the one ``lipschitz_estimate`` computes.
+    The squares are summed column by column, in scipy ``pdist``'s order,
+    so every slope is bitwise the one pdist's distances give.
     """
     sq = pts - x
     sq *= sq
@@ -525,7 +525,7 @@ def tell(state: OptimizerState, point, value: float) -> Trial:
     # ask, without its set-up: NaN and inf in p fail both
     if p.shape != state.pending.shape or not np.abs(p - state.pending).max() <= 1e-12:
         raise ProtocolError(f"tell point {p} does not match the pending ask {state.pending}")
-    if not math.isfinite(value):
+    if not is_real(value):
         raise ValueError(f"objective value must be finite, got {value}")
     vals = _trial_arrays(state)[1]
     prev_best = float(vals.max()) if len(vals) else -math.inf
@@ -554,6 +554,8 @@ def best(state: OptimizerState) -> Trial:
 def run_optimization(state: OptimizerState, objective, budget: int, on_trial=None) -> OptimizerState:
     """Drive ask/eval/tell for ``budget`` rounds. ``on_trial(trial, best)``
     fires after each tell."""
+    if not is_integer(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     for _ in range(budget):
         x = ask(state)
         trial = tell(state, x, float(objective(x)))
@@ -640,7 +642,7 @@ def _state_from_obj(obj) -> OptimizerState:
                           alpha=_number(obj, "alpha"), noise_eps=_number(obj, "noise_eps"),
                           seed=_integer(obj, "rng_seed"))
     seqs = obj["seqs"]
-    if not isinstance(seqs, list) or any(type(q) is not int for q in seqs):
+    if not (isinstance(seqs, list) and all(map(is_integer, seqs))):
         raise ValueError("seqs must be a list of integers")
     n = len(seqs)
     points = _float_array(obj["points"], (n, d), "points")
@@ -681,14 +683,14 @@ def _state_from_obj(obj) -> OptimizerState:
 
 def _number(obj: dict, key: str) -> float:
     v = obj[key]
-    if type(v) not in (int, float) or not math.isfinite(v):
+    if not is_real(v):
         raise ValueError(f"{key} must be a finite number, got {v!r}")
     return float(v)
 
 
 def _integer(obj: dict, key: str) -> int:
     v = obj[key]
-    if type(v) is not int or v < 0:
+    if not is_integer(v) or v < 0:
         raise ValueError(f"{key} must be a non-negative integer, got {v!r}")
     return v
 
@@ -715,16 +717,14 @@ def space_from_obj(obj) -> SearchSpace:
     dims = []
     for entry in obj:
         try:
-            name, integer = entry["name"], entry.get("integer", False)
+            name = entry["name"]
             if not isinstance(name, str):
                 raise ValueError(f"name must be a string, got {name!r}")
             if unknown := set(entry) - _DIM_KEYS:
                 raise ValueError(f"dim {name!r}: unknown keys {sorted(unknown)}, "
                                  f"expected some of {sorted(_DIM_KEYS)}")
-            if type(integer) is not bool:
-                raise ValueError(f"integer must be true or false, got {integer!r}")
             dims.append(Dim(name=name, lo=_number(entry, "lo"), hi=_number(entry, "hi"),
-                            is_integer=integer))
+                            is_integer=entry.get("integer", False)))
         except (KeyError, TypeError) as e:
             raise ValueError(f"bad dimension entry {entry!r}: {e}") from None
     return SearchSpace(tuple(dims))

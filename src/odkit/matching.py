@@ -340,11 +340,7 @@ def match_serial_cost(cost, traversal=None) -> MatchAssignment:
     minimum unused cost, ties toward the lower column index: the first
     unused column in the row's stable argsort.
     """
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise InvalidSpecError(f"cost must be a 2-D matrix, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidSpecError("cost matrix has non-finite entries")
+    (c,) = _as_cost_list([cost])
     nb, na = c.shape
     _check_capacity([nb], na)
     order = list(range(nb)) if traversal is None else list(traversal)

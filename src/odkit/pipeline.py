@@ -22,28 +22,17 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import numbers
 import queue
 import threading
 import time
 from dataclasses import asdict, dataclass
 
+from ._checks import is_integer, is_real
+
 _PLACEMENTS = ("host", "accelerator")
 # the first stage is charged transfer if it is not host-placed, since
 # input records originate on the host
 _SOURCE_PLACEMENT = "host"
-
-
-def _finite_non_negative(v) -> bool:
-    """Whether ``v`` is a real number (not a bool), finite and >= 0. An
-    integer too large for a float is not finite."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        return math.isfinite(v) and v >= 0
-    except OverflowError:
-        return False
 
 
 class DataUnderrunError(RuntimeError):
@@ -60,9 +49,9 @@ class StageSpec:
     """One pipeline stage: a cost model plus an optional real workload.
 
     ``fixed_ms`` is charged per batch, ``per_box_ms`` per ground-truth box
-    in the batch. The latencies are finite, non-negative real numbers (not
-    bools). When ``fn`` is set the stage runs it instead of sleeping (fn
-    receives and returns the batch payload dict).
+    in the batch; see README, "Input rules". When ``fn`` is set the stage
+    runs it instead of sleeping (fn receives and returns the batch payload
+    dict).
     """
 
     name: str
@@ -77,7 +66,7 @@ class StageSpec:
             raise ValueError(f"stage name must be a str, got {self.name!r}")
         for field in ("fixed_ms", "per_box_ms", "transfer_cost_ms"):
             v = getattr(self, field)
-            if not _finite_non_negative(v):
+            if not (is_real(v) and v >= 0):
                 raise ValueError(f"stage {self.name!r}: latencies must be finite and >= 0, "
                                  f"got {field}={v!r}")
         if self.fn is not None and not callable(self.fn):
@@ -90,8 +79,7 @@ class StageSpec:
 
 @dataclass
 class PipelineConfig:
-    """A pipeline layout. The counts are integers (numpy's too, not bools);
-    ``mean_boxes_per_image`` is a finite, non-negative real number."""
+    """A pipeline layout; see README, "Input rules"."""
 
     stages: list[StageSpec]
     batch_size: int = 1
@@ -103,18 +91,14 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("pipeline needs at least one stage")
-        for field in ("batch_size", "prefetch_depth", "n_batches"):
+        for field, least in (("batch_size", 1), ("prefetch_depth", 0), ("n_batches", 1)):
             v = getattr(self, field)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not is_integer(v):
                 raise ValueError(f"{field} must be an integer, got {v!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.prefetch_depth < 0:
-            raise ValueError(f"prefetch_depth must be >= 0, got {self.prefetch_depth}")
-        if self.n_batches < 1:
-            raise ValueError(f"n_batches must be >= 1, got {self.n_batches}")
+            if v < least:
+                raise ValueError(f"{field} must be >= {least}, got {v}")
         v = self.mean_boxes_per_image
-        if not _finite_non_negative(v):
+        if not (is_real(v) and v >= 0):
             raise ValueError(f"mean_boxes_per_image must be finite and >= 0, got {v!r}")
 
 

@@ -33,13 +33,13 @@ its whole block's arrays.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import InvalidSpecError, _check_box_values
+from ._checks import is_integer, is_real_array
+from .geometry import InvalidSpecError, _box_rows, _check_box_values
 
 MAGIC = b"ODR1"
 
@@ -87,11 +87,9 @@ class CorruptBatchError(ValueError):
 class LabelRecord:
     """Labels for one image: its id, pixel size, and per-box class ids.
 
-    ``image_id``, ``image_w`` and ``image_h`` must be integers (Python or
-    numpy, not ``bool``), and class ids whole numbers; with the u16 and
-    u64 ranges and the box checks of :func:`_check_values` this keeps
-    every constructed record writable as ODR1. Raises ValueError (for a
-    box value, :class:`~odkit.geometry.InvalidBoxError`) otherwise.
+    Its fields follow README's "Input rules", which keep every constructed
+    record writable as ODR1. Raises ValueError (for a box value,
+    :class:`~odkit.geometry.InvalidBoxError`) otherwise.
     """
 
     image_id: int
@@ -101,13 +99,12 @@ class LabelRecord:
     classes: np.ndarray    # (B,) int64
 
     def __post_init__(self):
-        self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        self.boxes = _box_rows(np.asarray(self.boxes).reshape(-1, 4))
         self.classes = _class_ids(self.classes)
         if len(self.boxes) != len(self.classes):
             raise ValueError("boxes and classes must have equal length")
-        for name, v in (("image_id", self.image_id), ("image_w", self.image_w),
-                        ("image_h", self.image_h)):
-            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+        for name in ("image_id", "image_w", "image_h"):
+            if not is_integer(v := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.image_id <= _U64_MAX:
             raise ValueError(f"image_id {self.image_id} outside u64 range")
@@ -127,15 +124,17 @@ class LabelRecord:
 
 
 def _class_ids(classes) -> np.ndarray:
-    """``classes`` as a flat int64 array. Float ids must be whole numbers;
-    ones outside u16 are clipped to just outside it, so that the range
-    check rejects them without an overflowing cast."""
+    """``classes`` as a flat int64 array. Other reals must be whole numbers;
+    they are clipped to just outside u16, so that the range check rejects
+    them without an overflowing cast."""
     raw = np.asarray(classes)
-    if raw.dtype.kind == "f":
-        if not (np.isfinite(raw).all() and (raw == np.trunc(raw)).all()):
+    if raw.dtype.kind not in "iu":
+        if is_real_array(raw):
+            raw = raw.astype(np.float64)
+        if not (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw == np.trunc(raw)).all()):
             raise ValueError("class ids must be integers")
-        classes = np.clip(raw, -1, _U16_MAX + 1)
-    return np.asarray(classes, dtype=np.int64).reshape(-1)
+        raw = np.clip(raw, -1, _U16_MAX + 1)
+    return raw.astype(np.int64, copy=False).reshape(-1)
 
 
 def _plain_check(image_w, image_h, boxes, classes) -> bool:
@@ -218,7 +217,7 @@ class SparseLabelBatch:
 
     def __post_init__(self):
         self.rois_idx = np.asarray(self.rois_idx, dtype=np.int64).reshape(-1, 2)
-        self.rois_values = np.asarray(self.rois_values, dtype=np.float64).reshape(-1, 4)
+        self.rois_values = _box_rows(np.asarray(self.rois_values).reshape(-1, 4))
         self.classes = np.asarray(self.classes, dtype=np.int64).reshape(-1)
 
     @property
@@ -234,6 +233,8 @@ class SparseLabelBatch:
         """
         if not (len(self.rois_idx) == len(self.rois_values) == len(self.classes)):
             raise CorruptBatchError("pointer and value lists differ in length")
+        if not is_integer(self.batch_size):
+            raise CorruptBatchError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 1:
             raise CorruptBatchError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rois_idx.size:
@@ -280,21 +281,12 @@ def decode_batch(batch: SparseLabelBatch) -> list[tuple[np.ndarray, np.ndarray]]
     return [(values[lo:hi], classes[lo:hi]) for lo, hi in zip(off[:-1], off[1:])]
 
 
-def _box_rows(counts: np.ndarray) -> np.ndarray:
+def _box_row_mask(counts: np.ndarray) -> np.ndarray:
     """Which rows of a block are box rows: each record takes its header
     row, then ``counts[i]`` box rows."""
     mask = np.ones(len(counts) + int(counts.sum()), dtype=bool)
     mask[np.cumsum(counts + 1) - (counts + 1)] = False
     return mask
-
-
-def _pack_boxes(boxes, classes) -> bytes:
-    """A record's boxes as ODR1 bytes, 18 per box, packed one at a time:
-    struct raises on a value ODR1 cannot hold."""
-    if len(classes) != len(boxes):  # zip would drop the extra ones
-        raise ValueError("boxes and classes must have equal length")
-    return b"".join(_BOX.pack(float(b[0]), float(b[1]), float(b[2]), float(b[3]), int(c))
-                    for b, c in zip(boxes, classes))
 
 
 def _in_range(a: np.ndarray, hi: int) -> bool:
@@ -327,7 +319,7 @@ def _pack_block(recs) -> bytes | None:
     head["len"] = _HEAD.size + _BOX.size * counts
     head["id"], head["w"], head["h"], head["n"] = ids, sizes[:, 0], sizes[:, 1], counts
     rows = np.empty(n + total, dtype=_BOX_DTYPE)
-    is_box = _box_rows(counts)
+    is_box = _box_row_mask(counts)
     rows.view(_HEAD_ROW)[~is_box] = head
     rows["b"][is_box] = boxes
     rows["c"][is_box] = classes
@@ -336,8 +328,8 @@ def _pack_block(recs) -> bytes | None:
 
 def _write_block(f, recs):
     """Write records in one call, or one at a time when the block cannot
-    be packed whole, so that an error is raised at its own record with the
-    records before it written."""
+    be packed whole: the records before the first that does not pack are
+    written, then the error the constructor's checks give it is raised."""
     if not recs:
         return
     data = _pack_block(recs)
@@ -345,9 +337,10 @@ def _write_block(f, recs):
         f.write(data)
         return
     for rec in recs:
-        payload = _HEAD.pack(rec.image_id, rec.image_w, rec.image_h, len(rec.boxes)) \
-            + _pack_boxes(rec.boxes, rec.classes)
-        f.write(_LEN.pack(len(payload)) + payload)
+        if (data := _pack_block([rec])) is None:
+            LabelRecord(rec.image_id, rec.image_w, rec.image_h, rec.boxes, rec.classes)
+            raise ValueError(f"record {rec.image_id!r} cannot be written as ODR1")
+        f.write(data)
 
 
 def write_records(path, records) -> int:
@@ -355,8 +348,9 @@ def write_records(path, records) -> int:
 
     Records are packed by blocks of about 64 KiB. When a record holds a
     value ODR1 cannot (after a field was reassigned past the constructor's
-    checks), or ``records`` raises, the records before it are written
-    before the error propagates.
+    checks), the records before it are written, and the ValueError that
+    :class:`LabelRecord`'s checks give for its fields is raised. When
+    ``records`` raises, the records before the error are written too.
     """
     n = 0
     with open(path, "wb") as f:
@@ -452,7 +446,7 @@ def _block_records(data, end, counts):
     """
     n_boxes = np.array(counts, dtype=np.int64)
     rows = np.frombuffer(data, dtype=_BOX_DTYPE, count=end // _BOX.size)
-    is_box = _box_rows(n_boxes)
+    is_box = _box_row_mask(n_boxes)
     heads, box_rows = rows.view(_HEAD_ROW)[~is_box], rows[is_box]
     boxes, classes = box_rows["b"].astype(np.float64), box_rows["c"].astype(np.int64)
     try:
@@ -515,8 +509,14 @@ def gen_synthetic(seed: int, n_images: int, max_boxes: int, image_w: int, image_
 
     Each image gets a uniform number of boxes in [0, max_boxes]; every box
     lies fully inside the image with integer-pixel corners and w, h >= 2,
-    so coordinates survive float32 storage exactly.
+    so coordinates survive float32 storage exactly. Every argument is an
+    integer, else :class:`InvalidSpecError`.
     """
+    args = (seed, n_images, max_boxes, image_w, image_h, class_count)
+    if not all(map(is_integer, args)):
+        raise InvalidSpecError(f"gen_synthetic takes integers, got {args!r}")
+    # Python ints, which no "+ 1" below can overflow as a numpy int64 could
+    seed, n_images, max_boxes, image_w, image_h, class_count = map(int, args)
     if image_w < 2 or image_h < 2:
         raise InvalidSpecError(f"image dimensions ({image_w}, {image_h}) too small")
     if n_images < 1 or max_boxes < 1:
@@ -547,8 +547,11 @@ def augment_jitter(rec: LabelRecord, seed: int, max_drift: int, allow_flip: bool
     classes are unchanged. With ``max_drift = 0`` the same seed applied
     twice restores the original record.
     """
+    if not (is_integer(seed) and is_integer(max_drift)):
+        raise ValueError(f"seed and max_drift must be integers, got {seed!r} and {max_drift!r}")
     if max_drift < 0:
         raise ValueError(f"max_drift must be >= 0, got {max_drift}")
+    max_drift = int(max_drift)  # a numpy int64 could overflow in "+ 1"
     rng = np.random.default_rng(seed)
     dx = int(rng.integers(-max_drift, max_drift + 1))
     dy = int(rng.integers(-max_drift, max_drift + 1))

@@ -389,6 +389,26 @@ def fit_quadratic_reference(state):
                                      fit_values=fit_values)
 
 
+def pdist_lipschitz_reference(trials, alpha: float) -> float:
+    """``hyperopt.lipschitz_estimate`` as it was, over scipy's ``pdist`` of
+    every pair of trials at once: the steepest slope between two distinct
+    points, snapped up to a power of ``1 + alpha``. O(n^2) memory."""
+    from scipy.spatial.distance import pdist
+
+    from odkit import hyperopt
+
+    if len(trials) < 2:
+        return 0.0
+    pts = np.array([t.point for t in trials])
+    vals = np.array([[t.value] for t in trials])
+    dd = pdist(pts)
+    vd = pdist(vals, metric="cityblock")
+    mask = dd > 0
+    if not mask.any():
+        return 0.0
+    return hyperopt._snap_slope(float((vd[mask] / dd[mask]).max()), alpha)
+
+
 def pure_random_search(objective, lows, highs, budget: int, seed: int) -> float:
     """Best value over plain uniform sampling; the baseline any informed
     search should beat."""

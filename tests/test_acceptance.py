@@ -46,7 +46,7 @@ from odkit import (
     write_records,
 )
 from odkit.hyperopt import Dim
-from oracles import brute_force_exact, pure_random_search
+from oracles import brute_force_exact, pure_random_search, serial_match_reference
 
 COST_2X2 = np.array([[10.0, 1000.0], [15.0, 500.0]])
 
@@ -113,7 +113,8 @@ def test_01_serial_and_greedy_totals_on_2x2():
 def test_02_serial_parallel_equivalence_1000_instances():
     t0 = time.perf_counter()
     n_equal = 0
-    n = 1000
+    n, n_scanned = 1000, 40
+    scanned = []
     for seed in range(n):
         rng = np.random.default_rng(seed)
         anchors, batch = _random_instance(rng, max_grid=12, max_templates=9,
@@ -122,10 +123,21 @@ def test_02_serial_parallel_equivalence_1000_instances():
         par = match_parallel(build_rankings(anchors, sparse), sparse, MatchConfig())
         if match_serial(anchors, batch) == par:
             n_equal += 1
+        if seed < n_scanned:
+            scanned.append((anchors, batch, par))
     elapsed = time.perf_counter() - t0
-    ok = n_equal == n and elapsed < 60.0
-    _verdict(2, "parallel(strict) equals serial on 1000 random instances", ok,
-             f"{n_equal}/{n} equal, {elapsed:.1f} s")
+    # outside the timed window: strict parallel and serial select with one
+    # kernel, so the first instances are also checked, image by image,
+    # against the direct scan, which shares no code with either
+    n_images = n_same = 0
+    for anchors, batch, par in scanned:
+        for boxes, ids in zip(batch, par.anchor_ids):
+            n_images += 1
+            n_same += ids.tolist() == serial_match_reference(anchors, boxes)
+    ok = n_equal == n and n_same == n_images and elapsed < 60.0
+    _verdict(2, f"parallel(strict) equals serial on 1000 random instances, "
+                f"and the direct scan on the first {n_scanned}", ok,
+             f"{n_equal}/{n} equal, {n_same}/{n_images} images as the scan, {elapsed:.1f} s")
 
 
 def test_03_exact_dominates_and_matches_brute_force():

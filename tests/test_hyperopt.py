@@ -14,7 +14,12 @@ from scipy.optimize._numdiff import approx_derivative
 from scipy.spatial.distance import pdist
 
 from odkit import hyperopt as hp
-from oracles import fit_quadratic_reference, pure_random_search, scipy_fd_ask_local
+from oracles import (
+    fit_quadratic_reference,
+    pdist_lipschitz_reference,
+    pure_random_search,
+    scipy_fd_ask_local,
+)
 
 UNIT_1D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0),))
 UNIT_2D = hp.SearchSpace((hp.Dim("x", 0.0, 1.0), hp.Dim("y", 0.0, 1.0)))
@@ -269,6 +274,17 @@ class TestLipschitzEstimate:
             return
         i = math.log(k) / math.log(1.5)
         assert abs(i - round(i)) < 1e-9
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(st.lists(st.sampled_from([0.0, 0.5, 1.0, -3.25, 1e-3]), min_size=d,
+                           max_size=d), st.floats(-5, 5, allow_nan=False)),
+        max_size=12)), st.sampled_from([0.5, 0.1, 1e-15]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_pdist_reference(self, pairs, alpha):
+        # repeated points are drawn often, so zero-distance pairs are too
+        trials = [hp.Trial(point=np.array(p), value=v, seq=i)
+                  for i, (p, v) in enumerate(pairs)]
+        assert hp.lipschitz_estimate(trials, alpha) == pdist_lipschitz_reference(trials, alpha)
 
 
 class TestQuadraticFit:
@@ -621,7 +637,7 @@ class TestTrialCache:
 
     @staticmethod
     def _check(state, x):
-        assert state.lipschitz_k == hp.lipschitz_estimate(state.trials, state.alpha)
+        assert state.lipschitz_k == pdist_lipschitz_reference(state.trials, state.alpha)
         vals = [t.value for t in state.trials]
         assert hp.best(state) is state.trials[vals.index(max(vals))]
         pts = np.array([t.point for t in state.trials])
@@ -673,7 +689,7 @@ class TestTrialCache:
         for _ in range(300):
             x = hp.ask(state)
             hp.tell(state, x, f(x))
-            assert state.lipschitz_k == hp.lipschitz_estimate(state.trials, state.alpha)
+            assert state.lipschitz_k == pdist_lipschitz_reference(state.trials, state.alpha)
         self._check(state, space.lows)
 
     @given(st.integers(1, 5).flatmap(lambda d: hnp.arrays(

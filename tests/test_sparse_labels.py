@@ -483,14 +483,18 @@ class TestPackedRecords:
 
     @pytest.mark.parametrize("field, value", [
         ("classes", [70000]), ("classes", np.array([-1])),
-        ("boxes", np.array([[10.0, 10, 1e39, 4]]))])
+        ("boxes", np.array([[10.0, 10, 1e39, 4]])), ("classes", np.array([70000])),
+        ("image_w", 1.5)])
     def test_unpackable_value_fails_to_write(self, tmp_path, field, value):
-        # fields reassigned after construction skip LabelRecord's checks
+        # fields reassigned after construction skip LabelRecord's checks;
+        # write_records raises the ValueError those checks give, where it
+        # used to raise struct's error, which is not a ValueError
         rec = _rec(0, [(10, 10, 4, 4)], [1])
         setattr(rec, field, value)
-        expected = _error(lambda: struct_write_records(tmp_path / "b.odr", [rec]))
-        assert expected is not None
+        expected = _error(lambda: _rebuilt(rec))
+        assert expected is not None and issubclass(expected[0], ValueError)
         assert _error(lambda: write_records(tmp_path / "a.odr", [rec])) == expected
+        assert (tmp_path / "a.odr").read_bytes() == b"ODR1"
 
     def test_mismatched_lengths_fail_to_write(self, tmp_path):
         # the struct writer wrote a payload shorter than its header's count
@@ -805,6 +809,11 @@ def test_read_memory_is_bounded_by_one_buffer(tmp_path, longest):
     assert peak < bound < path.stat().st_size
 
 
+def _rebuilt(rec):
+    """``rec``'s fields through the constructor, which checks them."""
+    return LabelRecord(rec.image_id, rec.image_w, rec.image_h, rec.boxes, rec.classes)
+
+
 def _reassign(rec, kind):
     """A copy of ``rec`` with a field reassigned to a value ODR1 cannot
     hold, past the constructor's checks."""
@@ -851,13 +860,11 @@ class TestBlockWrites:
         recs[k] = _reassign(recs[k], kind)
         d = tmp_path_factory.mktemp("odr")
         error = _error(lambda: write_records(d / "a.odr", recs))
-        if kind == "mismatched lengths":
-            # the struct writer writes a payload shorter than its header's count
-            struct_write_records(d / "b.odr", recs[:k])
-            want = (ValueError, "boxes and classes must have equal length")
-        else:
-            want = _error(lambda: struct_write_records(d / "b.odr", recs))
-        assert want is not None and error == want
+        # the records before the bad one are written, and then the error
+        # the constructor's checks give for its fields is raised
+        struct_write_records(d / "b.odr", recs[:k])
+        want = _error(lambda: _rebuilt(recs[k]))
+        assert want is not None and issubclass(want[0], ValueError) and error == want
         assert (d / "a.odr").read_bytes() == (d / "b.odr").read_bytes()
 
     def test_failing_source_keeps_records_before(self, tmp_path):
